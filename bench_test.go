@@ -8,6 +8,7 @@ package graphsql
 // same experiments at configurable scale.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -196,7 +197,7 @@ func BenchmarkCSRBuild(b *testing.B) {
 			chunk := friends.Chunk()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildGraph(chunk, 0, 1); err != nil {
+				if _, err := core.BuildGraphCtx(context.Background(), chunk, 0, 1, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

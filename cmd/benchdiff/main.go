@@ -49,8 +49,9 @@ type Baseline struct {
 	BfsPar   []bench.BfsParPoint   `json:"bfspar,omitempty"`
 	Parse    []bench.ParsePoint    `json:"parse,omitempty"`
 	Trace    []bench.TracePoint    `json:"trace,omitempty"`
-	// ExecStream points gate on the pull executor's time-to-first-row
-	// speedup over the materializing executor — a same-host ratio, like
+	// ExecStream points gate on the time-to-first-row speedup of
+	// default-size operator batches over one unbounded batch (the
+	// full-materialization reference) — a same-host ratio, like
 	// the trace overhead points. Points without TTFR signal in the
 	// baseline (breakers: ratio near 1) are skipped by the signal floor.
 	ExecStream []bench.ExecStreamPoint `json:"execstream,omitempty"`

@@ -3,6 +3,7 @@ package graphsql
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,55 +11,58 @@ import (
 )
 
 // The executor differential extends the determinism guarantee across
-// the executor seam: the pull executor (batch-at-a-time, execution
-// during the cursor drain) and the materializing executor must render
-// every corpus query byte-identically, at every differential
-// parallelism setting, and regardless of the operator batch size. The
-// two executors share the materializing operator cores for breakers,
-// so a divergence here means a pipeline operator (scan, filter,
-// project, unnest, union-all, limit) streams something its
-// materializing twin would not.
+// operator batch sizes: every corpus query must render
+// byte-identically whether the operators hand each other one row at a
+// time, a few rows, the default batch, or one unbounded batch — at
+// every differential parallelism setting. The reference is one
+// unbounded batch at parallelism 1: every operator then produces its
+// whole output before its consumer runs, the fully materialized
+// evaluation the paper's prototype performs. Breakers run the same
+// materializing cores at any batch size, so a divergence here means a
+// pipeline operator (scan, filter, project, unnest, union-all, limit)
+// re-batches something wrong.
 
-// executorRuns enumerates the executor configurations under
-// differential test; the materializing executor is the reference.
-func executorRuns() []QueryOptions {
-	return []QueryOptions{
-		{Executor: ExecutorMaterialize},
-		{Executor: ExecutorPull},
-		{Executor: ExecutorPull, BatchRows: 3}, // tiny batches force every window boundary
-		{Executor: ExecutorPull, BatchRows: 1000000},
-	}
-}
+// unboundedBatch is a batch bound no corpus result reaches.
+const unboundedBatch = math.MaxInt32
 
-func describeRun(qo QueryOptions) string {
-	if qo.BatchRows > 0 {
-		return fmt.Sprintf("%s/batch=%d", qo.Executor, qo.BatchRows)
+// diffBatchRows are the batch bounds compared against the reference:
+// degenerate, tiny (forcing every window boundary), and the default.
+var diffBatchRows = []int{1, 3, 0}
+
+func describeBatch(batchRows int) string {
+	switch batchRows {
+	case 0:
+		return "batch=default"
+	case unboundedBatch:
+		return "batch=unbounded"
 	}
-	return qo.Executor
+	return fmt.Sprintf("batch=%d", batchRows)
 }
 
 func TestExecutorDifferential(t *testing.T) {
 	forceParallelOperators(t)
 	ctx := context.Background()
-	for _, p := range differentialSettings() {
-		db := openCorpusDB(t, p)
-		sess := db.Session()
-		for qi, q := range testutil.Queries() {
-			runs := executorRuns()
-			ref, err := sess.QueryOpts(ctx, runs[0], q)
-			if err != nil {
-				t.Fatalf("parallelism %d q%02d %s: %v\nquery: %s", p, qi, describeRun(runs[0]), err, q)
-			}
-			want := ref.String()
-			for _, qo := range runs[1:] {
-				got, err := sess.QueryOpts(ctx, qo, q)
+	settings := differentialSettings()
+	sessions := make([]*Session, len(settings))
+	for i, p := range settings {
+		sessions[i] = openCorpusDB(t, p).Session()
+	}
+	for qi, q := range testutil.Queries() {
+		ref, err := sessions[0].QueryOpts(ctx, QueryOptions{BatchRows: unboundedBatch}, q)
+		if err != nil {
+			t.Fatalf("q%02d reference: %v\nquery: %s", qi, err, q)
+		}
+		want := ref.String()
+		for i, p := range settings {
+			for _, br := range diffBatchRows {
+				got, err := sessions[i].QueryOpts(ctx, QueryOptions{BatchRows: br}, q)
 				if err != nil {
-					t.Fatalf("parallelism %d q%02d %s: %v\nquery: %s", p, qi, describeRun(qo), err, q)
+					t.Fatalf("parallelism %d q%02d %s: %v\nquery: %s", p, qi, describeBatch(br), err, q)
 				}
 				if got.String() != want {
-					t.Errorf("parallelism %d q%02d: %s renders differently from %s\nquery: %s\n--- %s (%d rows)\n%s--- %s (%d rows)\n%s",
-						p, qi, describeRun(qo), describeRun(runs[0]), q,
-						describeRun(runs[0]), ref.Len(), want, describeRun(qo), got.Len(), got.String())
+					t.Errorf("parallelism %d q%02d: %s renders differently from the reference (parallelism 1, %s)\nquery: %s\n--- reference (%d rows)\n%s--- %s (%d rows)\n%s",
+						p, qi, describeBatch(br), describeBatch(unboundedBatch), q,
+						ref.Len(), want, describeBatch(br), got.Len(), got.String())
 				}
 			}
 		}
@@ -66,7 +70,7 @@ func TestExecutorDifferential(t *testing.T) {
 }
 
 // TestExecutorStreamingEquivalence locks the streamed drain to the
-// buffered result: reassembling a pull cursor's windows — tiny operator
+// buffered result: reassembling a cursor's windows — tiny operator
 // batches, a window size coprime to them, so windows constantly span
 // batch boundaries — must reproduce DB.Query exactly, and the frame
 // sequence must be the deterministic ceil(n/window) shape the wire
@@ -80,7 +84,7 @@ func TestExecutorStreamingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%02d: %v\nquery: %s", qi, err, q)
 		}
-		rows, err := db.QueryRows(ctx, QueryOptions{Executor: ExecutorPull, BatchRows: 3}, q)
+		rows, err := db.QueryRows(ctx, QueryOptions{BatchRows: 3}, q)
 		if err != nil {
 			t.Fatalf("q%02d: QueryRows: %v\nquery: %s", qi, err, q)
 		}
@@ -116,36 +120,38 @@ func TestExecutorStreamingEquivalence(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeExecutors runs EXPLAIN ANALYZE under each executor
-// and checks the contract both must honor: the annotated root reports
-// the true result cardinality and a wall time. The per-operator actuals
-// underneath are allowed to differ — a pull Limit stops pulling its
-// child as soon as the quota fills, so upstream operators legitimately
-// report fewer rows than under full materialization.
+// TestExplainAnalyzeExecutors runs EXPLAIN ANALYZE at each operator
+// batch size and checks the contract every run must honor: the
+// annotated root reports the true result cardinality and a wall time.
+// The per-operator actuals underneath are allowed to differ — a Limit
+// stops pulling its child as soon as the quota fills, so with small
+// batches upstream operators legitimately report fewer rows than with
+// one unbounded batch.
 func TestExplainAnalyzeExecutors(t *testing.T) {
 	forceParallelOperators(t)
 	ctx := context.Background()
 	db := openCorpusDB(t, 2)
 	sess := db.Session()
-	for _, executor := range []string{ExecutorMaterialize, ExecutorPull} {
-		qo := QueryOptions{Executor: executor}
+	for _, br := range []int{unboundedBatch, 0, 3} {
+		qo := QueryOptions{BatchRows: br}
+		run := describeBatch(br)
 		for qi, q := range testutil.Queries() {
 			ref, err := sess.QueryOpts(ctx, qo, q)
 			if err != nil {
-				t.Fatalf("%s q%02d: %v\nquery: %s", executor, qi, err, q)
+				t.Fatalf("%s q%02d: %v\nquery: %s", run, qi, err, q)
 			}
 			plan, err := sess.QueryOpts(ctx, qo, "EXPLAIN ANALYZE "+q)
 			if err != nil {
-				t.Fatalf("%s q%02d: EXPLAIN ANALYZE: %v\nquery: %s", executor, qi, err, q)
+				t.Fatalf("%s q%02d: EXPLAIN ANALYZE: %v\nquery: %s", run, qi, err, q)
 			}
 			text := planText(t, plan)
 			firstLine, _, _ := strings.Cut(text, "\n")
 			if !strings.Contains(firstLine, fmt.Sprintf("rows=%d", ref.Len())) {
 				t.Fatalf("%s q%02d: annotated root does not report the true cardinality %d:\n%s\nquery: %s",
-					executor, qi, ref.Len(), text, q)
+					run, qi, ref.Len(), text, q)
 			}
 			if !strings.Contains(firstLine, "time=") {
-				t.Fatalf("%s q%02d: no timing on the root line:\n%s", executor, qi, text)
+				t.Fatalf("%s q%02d: no timing on the root line:\n%s", run, qi, text)
 			}
 		}
 	}

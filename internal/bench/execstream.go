@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -11,24 +12,26 @@ import (
 )
 
 // ExecStreamPoint is one measurement of the -exp execstream
-// experiment: a prepared SELECT drained through the cursor seam under
-// the pull executor and under the legacy materializing executor,
-// back-to-back on the same host. Two properties are recorded per
-// workload:
+// experiment: a prepared SELECT drained through the cursor seam at the
+// default batch size ("pull") and with one unbounded batch
+// ("materialize"), back-to-back on the same host. The unbounded batch
+// is the full-materialization reference: every operator produces its
+// whole output before the first window, as a materializing executor
+// would. Two properties are recorded per workload:
 //
 //   - time-to-first-row: the wall time from ExecPreparedCursor to the
-//     first window. Under pull, execution happens during the drain, so
-//     the first window of a pipeline-only query surfaces after one
-//     batch; under materialization it waits for the whole result. The
-//     speedup ratio (materialize TTFR / pull TTFR) is host-comparable
-//     — both sides run seconds apart — and is what benchdiff gates.
+//     first window. At the default batch size the first window of a
+//     pipeline-only query surfaces after one batch; with one unbounded
+//     batch it waits for the whole result. The speedup ratio
+//     (materialize TTFR / pull TTFR) is host-comparable — both sides
+//     run seconds apart — and is what benchdiff gates.
 //   - allocation volume: total bytes allocated per drain, reported per
-//     executor with the materialize−pull delta. Informational, and it
-//     can go either way: pull skips whole-result materialization but
-//     pays copy costs re-batching ragged operator output into even
-//     windows, and breakers hold their cores' full state under both
-//     executors. What pull bounds is peak *live* intermediate size
-//     (see TestPullBoundedIntermediates), not allocation volume.
+//     side with the materialize−pull delta. Informational, and it can
+//     go either way: bounded batches skip whole-result materialization
+//     but pay copy costs re-batching ragged operator output into even
+//     windows, and breakers hold their cores' full state either way.
+//     What bounded batches bound is peak *live* intermediate size (see
+//     TestPullBoundedIntermediates), not allocation volume.
 //
 // The JSON field names are stable; downstream tooling tracks them.
 type ExecStreamPoint struct {
@@ -38,8 +41,8 @@ type ExecStreamPoint struct {
 	Rows              int     `json:"rows"`
 	MaterializeTTFRNs float64 `json:"materialize_ttfr_ns"`
 	PullTTFRNs        float64 `json:"pull_ttfr_ns"`
-	// TTFRSpeedup is materialize TTFR / pull TTFR: > 1 means the pull
-	// executor surfaces the first window earlier.
+	// TTFRSpeedup is materialize TTFR / pull TTFR: > 1 means bounded
+	// batches surface the first window earlier.
 	TTFRSpeedup        float64 `json:"ttfr_speedup"`
 	MaterializeSeconds float64 `json:"materialize_seconds"`
 	PullSeconds        float64 `json:"pull_seconds"`
@@ -48,10 +51,10 @@ type ExecStreamPoint struct {
 	AllocDeltaMB       float64 `json:"alloc_delta_mb"`
 }
 
-// execStreamWorkloads bracket the executor seam: pipeline-only shapes
-// (scan, filter) where pull streaming pays off, and a breaker (ORDER
-// BY) that must materialize under both executors — its TTFR ratio near
-// 1 documents the boundary of the claim and falls below benchdiff's
+// execStreamWorkloads bracket the streaming claim: pipeline-only shapes
+// (scan, filter) where bounded batches pay off, and a breaker (ORDER
+// BY) that materializes at any batch size — its TTFR ratio near 1
+// documents the boundary of the claim and falls below benchdiff's
 // signal floor, so it never gates.
 var execStreamWorkloads = []struct {
 	name  string
@@ -62,20 +65,27 @@ var execStreamWorkloads = []struct {
 	{"order_by", `SELECT src, dst FROM friends ORDER BY dst, src`},
 }
 
-// execStreamRounds repeats each (workload, executor) measurement; the
-// fastest round is reported, like the other experiments.
+// execStreamRounds repeats each (workload, batch size) measurement;
+// the fastest round is reported, like the other experiments.
 const execStreamRounds = 5
 
-// execStreamWindow is the drain window; matching the pull executor's
+// execStreamWindow is the drain window; matching the executor's
 // default batch keeps one window per operator batch.
 const execStreamWindow = 1024
 
-// drainOnce executes the prepared statement under one executor and
-// drains it, returning time-to-first-window, total drain time, rows
-// and bytes allocated.
-func drainOnce(e *engine.Engine, prep *engine.Prepared, executor string) (ttfr, total time.Duration, rows int, allocBytes uint64, err error) {
+// Operator batch bounds under comparison: the default, and one
+// unbounded batch as the full-materialization reference.
+const (
+	pullBatchRows        = 0
+	materializeBatchRows = math.MaxInt32
+)
+
+// drainOnce executes the prepared statement at one operator batch
+// bound and drains it, returning time-to-first-window, total drain
+// time, rows and bytes allocated.
+func drainOnce(e *engine.Engine, prep *engine.Prepared, batchRows int) (ttfr, total time.Duration, rows int, allocBytes uint64, err error) {
 	opts := engine.DefaultExecOptions()
-	opts.Executor = executor
+	opts.BatchRows = batchRows
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
@@ -115,7 +125,7 @@ func ExecStream(o Options) error {
 	}
 	e.SetParallelism(o.Parallelism)
 
-	fmt.Fprintf(o.Out, "Executor streaming: time-to-first-row and allocation, pull vs materialize, SF %d shrink=%d\n", sf, o.Shrink)
+	fmt.Fprintf(o.Out, "Executor streaming: time-to-first-row and allocation, default batches (pull) vs one unbounded batch (mat), SF %d shrink=%d\n", sf, o.Shrink)
 	fmt.Fprintf(o.Out, "%-12s %10s %14s %14s %8s %12s %12s %10s\n",
 		"workload", "rows", "mat ttfr", "pull ttfr", "speedup", "mat alloc", "pull alloc", "delta")
 	var points []ExecStreamPoint
@@ -124,17 +134,17 @@ func ExecStream(o Options) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", wl.name, err)
 		}
-		// Warm-up both executors: first-use initialization must not count.
-		for _, ex := range []string{engine.ExecutorMaterialize, engine.ExecutorPull} {
-			if _, _, _, _, err := drainOnce(e, prep, ex); err != nil {
-				return fmt.Errorf("%s %s: %w", wl.name, ex, err)
+		// Warm-up both sides: first-use initialization must not count.
+		for _, br := range []int{materializeBatchRows, pullBatchRows} {
+			if _, _, _, _, err := drainOnce(e, prep, br); err != nil {
+				return fmt.Errorf("%s batch=%d: %w", wl.name, br, err)
 			}
 		}
 		p := ExecStreamPoint{Workload: wl.name, SF: sf, Shrink: o.Shrink}
-		best := func(ex string) (ttfr, total time.Duration, alloc uint64, err error) {
+		best := func(batchRows int) (ttfr, total time.Duration, alloc uint64, err error) {
 			ttfr, total, alloc = 1<<62, 1<<62, 1<<62
 			for r := 0; r < execStreamRounds; r++ {
-				tf, tt, rows, ab, err := drainOnce(e, prep, ex)
+				tf, tt, rows, ab, err := drainOnce(e, prep, batchRows)
 				if err != nil {
 					return 0, 0, 0, err
 				}
@@ -151,11 +161,11 @@ func ExecStream(o Options) error {
 			}
 			return ttfr, total, alloc, nil
 		}
-		mtf, mtt, malloc, err := best(engine.ExecutorMaterialize)
+		mtf, mtt, malloc, err := best(materializeBatchRows)
 		if err != nil {
 			return fmt.Errorf("%s materialize: %w", wl.name, err)
 		}
-		ptf, ptt, palloc, err := best(engine.ExecutorPull)
+		ptf, ptt, palloc, err := best(pullBatchRows)
 		if err != nil {
 			return fmt.Errorf("%s pull: %w", wl.name, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func appendEdge(c *storage.Chunk, s, d, w int64) {
 
 func TestDynamicGraphAbsorbsAppends(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}, {2, 3, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestDynamicGraphAbsorbsAppends(t *testing.T) {
 	// Close the cycle and introduce a brand-new vertex 4.
 	appendEdge(tbl, 3, 1, 1)
 	appendEdge(tbl, 3, 4, 1)
-	if _, err := dg.Refresh(tbl); err != nil {
+	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 		t.Fatal(err)
 	}
 	if dg.DeltaEdges() != 2 {
@@ -52,12 +53,12 @@ func TestDynamicGraphAbsorbsAppends(t *testing.T) {
 
 func TestDynamicGraphRefreshIsIdempotent(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := dg.Refresh(tbl); err != nil {
+		if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,10 +66,10 @@ func TestDynamicGraphRefreshIsIdempotent(t *testing.T) {
 		t.Fatalf("no-op refreshes created %d delta edges", dg.DeltaEdges())
 	}
 	appendEdge(tbl, 2, 3, 1)
-	if _, err := dg.Refresh(tbl); err != nil {
+	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dg.Refresh(tbl); err != nil {
+	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 		t.Fatal(err)
 	}
 	if dg.DeltaEdges() != 1 {
@@ -78,7 +79,7 @@ func TestDynamicGraphRefreshIsIdempotent(t *testing.T) {
 
 func TestDynamicGraphRebuildOnLargeDelta(t *testing.T) {
 	tbl := dynTable([][3]int64{{0, 1, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestDynamicGraphRebuildOnLargeDelta(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		appendEdge(tbl, i, i+1, 1)
 	}
-	rebuilt, err := dg.Refresh(tbl)
+	rebuilt, err := dg.RefreshCtx(context.Background(), tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,24 +109,24 @@ func TestDynamicGraphRebuildOnLargeDelta(t *testing.T) {
 
 func TestDynamicGraphRejectsShrunkTable(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}, {2, 3, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	smaller := dynTable([][3]int64{{1, 2, 1}})
-	if _, err := dg.Refresh(smaller); err == nil {
+	if _, err := dg.RefreshCtx(context.Background(), smaller); err == nil {
 		t.Fatal("a shrunk table must violate the append-only contract")
 	}
 }
 
 func TestDynamicGraphDoesNotCorruptBaseTable(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendEdge(tbl, 2, 3, 1)
-	if _, err := dg.Refresh(tbl); err != nil {
+	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 		t.Fatal(err)
 	}
 	// The index's private edge chunk grows; the base table must not.
@@ -149,7 +150,7 @@ func TestPropertyDynamicEqualsRebuilt(t *testing.T) {
 		for i := 0; i < 1+r.Intn(8); i++ {
 			appendEdge(tbl, int64(r.Intn(n)), int64(r.Intn(n)), 1)
 		}
-		dg, err := NewDynamicGraph(tbl, 0, 1)
+		dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,10 +158,10 @@ func TestPropertyDynamicEqualsRebuilt(t *testing.T) {
 			for i := 0; i < r.Intn(6); i++ {
 				appendEdge(tbl, int64(r.Intn(n)), int64(r.Intn(n)), 1)
 			}
-			if _, err := dg.Refresh(tbl); err != nil {
+			if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := BuildGraph(tbl, 0, 1)
+			fresh, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"graphsql/internal/exec"
+	"graphsql/internal/trace"
 	"graphsql/internal/types"
 )
 
@@ -290,6 +293,54 @@ func TestInsertSelectWithGraphQuery(t *testing.T) {
 	}
 	run(t, e, `INSERT INTO dists SELECT id, CHEAPEST SUM(1)
 		FROM v WHERE 1 REACHES id OVER g EDGE (s, d)`)
+	res := run(t, e, `SELECT id, hops FROM dists ORDER BY id`)
+	checkCells(t, res, [][]string{{"2", "1"}, {"3", "2"}})
+}
+
+// TestInsertSelectHonorsExecOptions: the SELECT inside INSERT … SELECT
+// runs under the statement's options like any other query — the
+// per-statement worker budget bounds its REACHES solve, its operators
+// record spans under the statement's trace, and Engine.Stats counts its
+// graph build.
+func TestInsertSelectHonorsExecOptions(t *testing.T) {
+	e := New()
+	e.SetParallelism(4)
+	if _, err := e.ExecScript(`
+		CREATE TABLE g (s BIGINT, d BIGINT);
+		CREATE TABLE v (id BIGINT);
+		CREATE TABLE dists (id BIGINT, hops BIGINT);
+		INSERT INTO g VALUES (1,2),(2,3);
+		INSERT INTO v VALUES (2),(3);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	e.Stats = &exec.Stats{}
+	tr := trace.New()
+	opts := &ExecOptions{Parallelism: 1, Trace: tr}
+	if _, err := e.QueryOpts(context.Background(), opts, `INSERT INTO dists SELECT id, CHEAPEST SUM(1)
+		FROM v WHERE 1 REACHES id OVER g EDGE (s, d)`); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats.GraphBuilds != 1 {
+		t.Fatalf("Stats.GraphBuilds = %d, want 1", e.Stats.GraphBuilds)
+	}
+	var gm *trace.Node
+	var walk func(n *trace.Node)
+	walk = func(n *trace.Node) {
+		if strings.HasPrefix(n.Name, "GraphMatch") {
+			gm = n
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(tr.Tree())
+	if gm == nil {
+		t.Fatalf("no GraphMatch span in the statement's trace:\n%s", trace.Render(tr.Tree()))
+	}
+	if gm.Workers != 1 {
+		t.Fatalf("GraphMatch span reports workers=%d, want 1 (the statement's Parallelism)", gm.Workers)
+	}
 	res := run(t, e, `SELECT id, hops FROM dists ORDER BY id`)
 	checkCells(t, res, [][]string{{"2", "1"}, {"3", "2"}})
 }

@@ -107,22 +107,10 @@ type ExecOptions struct {
 	// solver frontier levels) nested under it. Nil disables tracing at
 	// zero cost.
 	Trace *trace.Trace
-	// Executor selects the executor implementation: "" inherits the
-	// process default (the pull executor unless GSQL_EXEC=materialize),
-	// ExecutorPull forces the batch-pull executor, ExecutorMaterialize
-	// forces the legacy full-materialization interpreter. Results are
-	// value-identical either way; the differential corpus pins it.
-	Executor string
-	// BatchRows bounds the rows per batch the pull executor emits;
-	// <= 0 uses exec.DefaultBatchRows.
+	// BatchRows bounds the rows per batch the executor's operators
+	// emit; <= 0 uses exec.DefaultBatchRows.
 	BatchRows int
 }
-
-// Executor selection values for ExecOptions.Executor.
-const (
-	ExecutorPull        = "pull"
-	ExecutorMaterialize = "materialize"
-)
 
 // DefaultExecOptions returns options that inherit every engine default.
 func DefaultExecOptions() ExecOptions { return ExecOptions{Parallelism: -1} }
@@ -251,8 +239,8 @@ func (e *Engine) Prepare(sql string, params ...types.Value) (prep *Prepared, err
 
 // request bundles one prepared-statement execution for run, the single
 // internal entry point every public query path funnels into: panic
-// containment, parameter validation, executor selection, tracing and
-// parallelism resolution are applied in exactly one place.
+// containment, parameter validation, tracing and parallelism
+// resolution are applied in exactly one place.
 type request struct {
 	prep   *Prepared
 	params []types.Value
@@ -263,9 +251,9 @@ type request struct {
 }
 
 // run executes one request. Exactly one of chunk/cur is populated:
-// with wantCursor a cursor is returned (operator-backed for a SELECT
-// under the pull executor, a windowed snapshot otherwise), without it
-// the materialized result chunk.
+// with wantCursor a cursor is returned (operator-backed for a SELECT,
+// a windowed snapshot otherwise), without it the materialized result
+// chunk — for a SELECT, the operator cursor drained in one window.
 func (e *Engine) run(ctx context.Context, req request) (chunk *storage.Chunk, cur *exec.Cursor, err error) {
 	defer recoverExecPanic(&err)
 	p := req.prep
@@ -282,7 +270,21 @@ func (e *Engine) run(ctx context.Context, req request) (chunk *storage.Chunk, cu
 			}
 			pl = plan.Rewrite(bound)
 		}
-		return e.runSelect(ctx, pl, req)
+		cur, err := e.runSelect(ctx, pl, req)
+		if err != nil || req.wantCursor {
+			return nil, cur, err
+		}
+		// Deferred ahead of the drain so a panicking operator still
+		// releases its tree before recoverExecPanic converts the panic.
+		defer cur.Close()
+		chunk, err := cur.Next(0)
+		if err != nil {
+			return nil, nil, err
+		}
+		if chunk == nil {
+			chunk = storage.NewChunk(cur.Schema())
+		}
+		return chunk, nil, nil
 	case *ast.ExplainStmt:
 		chunk, err = e.execExplain(ctx, t, p.plan, req.params, req.opts)
 	default:
@@ -311,13 +313,12 @@ func (e *Engine) ExecPrepared(ctx context.Context, p *Prepared, opts *ExecOption
 }
 
 // ExecPreparedCursor executes a prepared statement and returns an
-// incremental cursor over its result. For a SELECT under the pull
-// executor the cursor is operator-backed: Open runs here, under
-// whatever lock discipline the caller holds — base-table scans
-// snapshot and cached graph indexes refresh now — and execution then
-// proceeds batch-by-batch as the cursor is drained, without the lock.
-// Any other statement (and the materializing executor) executes fully
-// here and the cursor windows a snapshot of the result. The caller
+// incremental cursor over its result. For a SELECT the cursor is
+// operator-backed: Open runs here, under whatever lock discipline the
+// caller holds — base-table scans snapshot and cached graph indexes
+// refresh now — and execution then proceeds batch-by-batch as the
+// cursor is drained, without the lock. Any other statement executes
+// fully here and the cursor windows a snapshot of the result. The caller
 // must Close the cursor; exhaustion and errors close it implicitly. A
 // panic while opening surfaces as a *QueryPanicError; the facade
 // applies the same conversion to panics raised during the drain.
@@ -326,71 +327,50 @@ func (e *Engine) ExecPreparedCursor(ctx context.Context, p *Prepared, opts *Exec
 	return cur, err
 }
 
-// newExecContext builds the exec context for one execution, resolving
-// the executor selection: the option wins, otherwise the GSQL_EXEC
-// process default applies.
-func (e *Engine) newExecContext(ctx context.Context, params []types.Value, opts *ExecOptions) (*exec.Context, error) {
+// newExecContext builds the exec context for one execution.
+func (e *Engine) newExecContext(ctx context.Context, params []types.Value, opts *ExecOptions) *exec.Context {
 	ectx := &exec.Context{
 		Ctx:          ctx,
 		Expr:         &expr.Context{Params: params},
 		GraphIndexes: e.graphIndexes,
 		Parallelism:  e.effectiveParallelism(opts),
 		Stats:        e.Stats,
-		Materialize:  exec.DefaultMaterialize(),
 	}
 	if opts != nil {
 		ectx.BatchRows = opts.BatchRows
-		switch opts.Executor {
-		case "":
-		case ExecutorPull:
-			ectx.Materialize = false
-		case ExecutorMaterialize:
-			ectx.Materialize = true
-		default:
-			return nil, fmt.Errorf("unknown executor %q (supported: %s, %s)", opts.Executor, ExecutorPull, ExecutorMaterialize)
-		}
 	}
-	return ectx, nil
+	return ectx
 }
 
-// runSelect executes a bound plan for run: buffered, or through an
-// incremental cursor when the request asks for one.
-func (e *Engine) runSelect(ctx context.Context, pl plan.Node, req request) (*storage.Chunk, *exec.Cursor, error) {
-	opts := req.opts
-	ectx, err := e.newExecContext(ctx, req.params, opts)
-	if err != nil {
-		return nil, nil, err
+// traceExecute opens the options' "execute" stage span (if tracing)
+// and attaches the trace to ectx, so every operator records its span
+// under it. The returned func ends the span; it is nil when the
+// execution is not traced.
+func traceExecute(ectx *exec.Context, opts *ExecOptions) (end func()) {
+	if opts == nil || opts.Trace == nil {
+		return nil
 	}
-	if !req.wantCursor || ectx.Materialize {
-		chunk, err := e.execSelect(pl, ectx, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !req.wantCursor {
-			return chunk, nil, nil
-		}
-		if chunk != nil {
-			chunk = chunk.Snapshot()
-		}
-		return nil, exec.NewCursor(ctx, chunk), nil
-	}
-	// Pull cursor: execution happens as the cursor drains. The
-	// "execute" stage span opens now and ends via the cursor's close
-	// hook, so its duration covers the actual execution window and the
-	// in-flight stage shows "execute" for as long as batches flow.
-	var onClose func()
-	if opts != nil && opts.Trace != nil {
-		tr := opts.Trace
-		sp := tr.Begin(trace.NoSpan, "execute")
-		ectx.Trace = tr
-		ectx.TraceSpan = sp
-		onClose = func() { tr.End(sp) }
-	}
-	fail := func(err error) (*storage.Chunk, *exec.Cursor, error) {
+	tr := opts.Trace
+	sp := tr.Begin(trace.NoSpan, "execute")
+	end = func() { tr.End(sp) }
+	ectx.Trace = tr
+	ectx.TraceSpan = sp
+	return end
+}
+
+// runSelect opens a bound plan's operator tree and returns a cursor
+// over it: execution happens as the cursor drains. The "execute" stage
+// span opens now and ends via the cursor's close hook, so its duration
+// covers the actual execution window and the in-flight stage shows
+// "execute" for as long as batches flow.
+func (e *Engine) runSelect(ctx context.Context, pl plan.Node, req request) (*exec.Cursor, error) {
+	ectx := e.newExecContext(ctx, req.params, req.opts)
+	onClose := traceExecute(ectx, req.opts)
+	fail := func(err error) (*exec.Cursor, error) {
 		if onClose != nil {
 			onClose()
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	op, err := exec.Build(pl, ectx)
 	if err != nil {
@@ -400,20 +380,7 @@ func (e *Engine) runSelect(ctx context.Context, pl plan.Node, req request) (*sto
 		op.Close()
 		return fail(err)
 	}
-	return nil, exec.NewOperatorCursor(ctx, op, onClose), nil
-}
-
-// execSelect runs a bound plan to a materialized chunk, attaching the
-// options' trace (if any) so every operator records a span under one
-// "execute" stage.
-func (e *Engine) execSelect(pl plan.Node, ectx *exec.Context, opts *ExecOptions) (*storage.Chunk, error) {
-	if opts != nil && opts.Trace != nil {
-		sp := opts.Trace.Begin(trace.NoSpan, "execute")
-		ectx.Trace = opts.Trace
-		ectx.TraceSpan = sp
-		defer opts.Trace.End(sp)
-	}
-	return exec.Execute(pl, ectx)
+	return exec.NewOperatorCursor(ctx, op, onClose), nil
 }
 
 // execExplain serves EXPLAIN [ANALYZE]: plain EXPLAIN renders the bound
@@ -437,10 +404,7 @@ func (e *Engine) execExplain(ctx context.Context, ex *ast.ExplainStmt, pl plan.N
 		// A private trace keeps the rendering to this statement's spans
 		// even when the caller traces the enclosing request.
 		tr := trace.New()
-		ectx, err := e.newExecContext(ctx, params, opts)
-		if err != nil {
-			return nil, err
-		}
+		ectx := e.newExecContext(ctx, params, opts)
 		ectx.Trace = tr
 		ectx.TraceSpan = trace.NoSpan
 		if _, err := exec.Execute(pl, ectx); err != nil {
@@ -534,24 +498,12 @@ func (e *Engine) Explain(sql string, params ...types.Value) (string, error) {
 
 func (e *Engine) execStmt(ctx context.Context, stmt ast.Statement, params []types.Value, opts *ExecOptions) (*storage.Chunk, error) {
 	switch t := stmt.(type) {
-	case *ast.SelectStmt:
-		p, err := analyze.BindSelect(e.cat, t, params)
-		if err != nil {
-			return nil, err
-		}
-		ectx, err := e.newExecContext(ctx, params, opts)
-		if err != nil {
-			return nil, err
-		}
-		return e.execSelect(plan.Rewrite(p), ectx, opts)
-	case *ast.ExplainStmt:
-		return e.execExplain(ctx, t, nil, params, opts)
 	case *ast.CreateTableStmt:
 		e.dataVersion.Add(1)
 		return nil, e.execCreateTable(t)
 	case *ast.InsertStmt:
 		e.dataVersion.Add(1)
-		return nil, e.execInsert(ctx, t, params)
+		return nil, e.execInsert(ctx, t, params, opts)
 	case *ast.DropTableStmt:
 		e.dataVersion.Add(1)
 		if err := e.cat.DropTable(t.Name); err != nil {
@@ -631,7 +583,7 @@ func (e *Engine) execCreateTable(t *ast.CreateTableStmt) error {
 	return nil
 }
 
-func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []types.Value) error {
+func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []types.Value, opts *ExecOptions) error {
 	table, ok := e.cat.Table(t.Table)
 	if !ok {
 		return fmt.Errorf("table %q does not exist", t.Table)
@@ -652,7 +604,7 @@ func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []typ
 		}
 	}
 	// Appended rows are absorbed by dynamic graph indexes at the next
-	// query (DynamicGraph.Refresh); no invalidation needed here.
+	// query (DynamicGraph.RefreshCtx); no invalidation needed here.
 	appendRow := func(vals []types.Value) error {
 		if len(vals) != len(colIdx) {
 			return fmt.Errorf("INSERT row has %d values, expected %d", len(vals), len(colIdx))
@@ -677,8 +629,11 @@ func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []typ
 		if err != nil {
 			return err
 		}
-		p = plan.Rewrite(p)
-		res, err := exec.Execute(p, &exec.Context{Ctx: ctx, Expr: &expr.Context{Params: params}, GraphIndexes: e.graphIndexes, Parallelism: e.parallelism})
+		ectx := e.newExecContext(ctx, params, opts)
+		if end := traceExecute(ectx, opts); end != nil {
+			defer end()
+		}
+		res, err := exec.Execute(plan.Rewrite(p), ectx)
 		if err != nil {
 			return err
 		}

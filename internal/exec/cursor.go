@@ -12,7 +12,7 @@ import (
 //
 //   - chunk-backed (NewCursor): windows an already-materialized result,
 //     so the total row count is known up front. This is what non-SELECT
-//     statements and the legacy materializing executor produce.
+//     statements produce.
 //   - operator-backed (NewOperatorCursor): pulls batches from an open
 //     Operator tree, re-windowing them to the consumer's requested
 //     size. Execution happens *during* iteration — the first window is
@@ -86,7 +86,7 @@ func (c *Cursor) NumRows() int { return c.known }
 // is a pure function of the result and maxRows — ceil(n/maxRows)
 // frames — never of the executor's internal batch boundaries (the
 // streamed wire encoding relies on this to stay byte-identical across
-// executors and cache replays). A window served from within a single
+// operator batch sizes and cache replays). A window served from within a single
 // batch is a zero-copy view valid until the next Next call; one that
 // spans batches is materialized fresh. It returns the context's error
 // if the consumer was canceled between batches; any error closes the

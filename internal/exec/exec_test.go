@@ -234,19 +234,19 @@ func TestSharedNodeExecutesOnce(t *testing.T) {
 	if out.NumRows() != 9 {
 		t.Fatalf("rows = %d", out.NumRows())
 	}
-	if len(ctx.sharedPull) != 1 {
-		t.Fatalf("shared pull cache entries = %d, want 1", len(ctx.sharedPull))
+	if len(ctx.shared) != 1 {
+		t.Fatalf("shared cache entries = %d, want 1", len(ctx.shared))
 	}
-	mctx := &Context{Materialize: true}
-	out, err = Execute(j, mctx)
+	rctx := &refContext{Context: &Context{}}
+	out, err = refExecute(j, rctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.NumRows() != 9 {
-		t.Fatalf("materialize rows = %d", out.NumRows())
+		t.Fatalf("reference rows = %d", out.NumRows())
 	}
-	if len(mctx.shared) != 1 {
-		t.Fatalf("shared cache entries = %d, want 1", len(mctx.shared))
+	if len(rctx.shared) != 1 {
+		t.Fatalf("reference shared cache entries = %d, want 1", len(rctx.shared))
 	}
 }
 

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"graphsql/internal/core"
 	"graphsql/internal/expr"
@@ -21,17 +20,8 @@ import (
 // batch onto one NDJSON frame.
 const DefaultBatchRows = 1024
 
-// envMaterialize selects the legacy full-materialization executor
-// process-wide; see DefaultMaterialize.
-var envMaterialize = os.Getenv("GSQL_EXEC") == "materialize"
-
-// DefaultMaterialize reports whether the process default executor is
-// the legacy full-materialization interpreter (GSQL_EXEC=materialize).
-// Any other value — including unset — selects the batch-pull executor.
-func DefaultMaterialize() bool { return envMaterialize }
-
-// Operator is the pull-based executor's physical operator: a bound plan
-// node compiled into a batch iterator. The life cycle is
+// Operator is the executor's physical operator: a bound plan node
+// compiled into a batch iterator. The life cycle is
 // Build → Open → Next* → Close:
 //
 //   - Open acquires the operator's inputs under whatever lock the
@@ -49,9 +39,8 @@ func DefaultMaterialize() bool { return envMaterialize }
 // rename) transform one batch at a time; pipeline breakers (join,
 // GraphMatch, aggregate, sort, distinct, the deduplicating set
 // operations, CTE bodies) drain their inputs batch-at-a-time into one
-// chunk on the first Next, run the same parallel materializing cores
-// the legacy executor uses, and window the result back out — so both
-// executors produce value-identical output by construction.
+// chunk on the first Next, run a parallel materializing core over it,
+// and window the result back out (see windowOp).
 type Operator interface {
 	// Schema is the operator's output schema, available before Open so
 	// consumers can emit result headers ahead of the first batch.
@@ -83,9 +72,9 @@ func Build(n plan.Node, ctx *Context) (Operator, error) {
 func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return &scanOp{opBase: newBase(n), scan: t}, nil
+		return &scanOp{windowOp: windowOp{opBase: newBase(n)}, scan: t}, nil
 	case *plan.ChunkScan:
-		return &chunkOp{opBase: newBase(n), src: t.Chunk}, nil
+		return &chunkOp{windowOp: windowOp{opBase: newBase(n)}, src: t.Chunk}, nil
 	case *plan.Rename:
 		child, err := buildOp(t.Input, ctx)
 		if err != nil {
@@ -93,7 +82,7 @@ func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 		}
 		return &renameOp{opBase: newBase(n), child: child}, nil
 	case *plan.Shared:
-		st := ctx.sharedPullState(t)
+		st := ctx.sharedFor(t)
 		if st.op == nil {
 			op, err := buildOp(t.Input, ctx)
 			if err != nil {
@@ -101,7 +90,7 @@ func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 			}
 			st.op = op
 		}
-		return &sharedOp{opBase: newBase(n), state: st}, nil
+		return newShared(t, st), nil
 	case *plan.Filter:
 		child, err := buildOp(t.Input, ctx)
 		if err != nil {
@@ -135,7 +124,7 @@ func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &graphMatchOp{opBase: newBase(n), g: t, input: input, edge: edge}, nil
+		return newGraphMatch(t, input, edge), nil
 	case *plan.SetOp:
 		left, err := buildOp(t.Left, ctx)
 		if err != nil {
@@ -218,7 +207,7 @@ func (b *opBase) Schema() storage.Schema { return b.sch }
 // openBase records the execution context and opens this operator's
 // trace span under the current parent, redirecting ctx.TraceSpan at it
 // so children opened before the returned restore func runs nest under
-// it — the same tree shape the materializing executor records.
+// it and the span tree mirrors the plan tree.
 func (b *opBase) openBase(ctx *Context) func() {
 	b.ctx = ctx
 	b.tr = ctx.Trace
@@ -232,8 +221,8 @@ func (b *opBase) openBase(ctx *Context) func() {
 }
 
 // openCheck is the per-operator admission check, fired once per
-// operator exactly like the materializing executor's pre-operator
-// check: cancellation first, then the exec.operator fault point.
+// operator at Open: cancellation first, then the exec.operator fault
+// point.
 func (b *opBase) openCheck() error {
 	if err := b.ctx.Canceled(); err != nil {
 		return err
@@ -296,8 +285,8 @@ func SetBatchObserver(f func(op string, rows int)) func(op string, rows int) {
 // entire remaining output as one chunk without per-batch copying:
 // sources that only window an existing chunk (scans, CTE results) and
 // breakers that hold their materialized output anyway. drainInput uses
-// it so a breaker consuming a scan sees the same zero-copy table view
-// the materializing executor passes around.
+// it so a breaker consuming a scan sees a zero-copy view of the table
+// rather than a concatenation of its batches.
 type materializer interface {
 	materialize() (*storage.Chunk, error)
 }
@@ -349,55 +338,72 @@ func emptyLike(c *storage.Chunk) *storage.Chunk {
 	return out
 }
 
-// runPull executes a plan through the pull executor and materializes
-// the result — the drop-in replacement for the recursive interpreter
-// behind Execute.
-func runPull(n plan.Node, ctx *Context) (*storage.Chunk, error) {
-	op, err := buildOp(n, ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	return drainInput(op)
-}
-
-// outWindow hands out bounded zero-copy windows of a materialized
-// chunk; breakers use it to re-batch their output.
-type outWindow struct {
+// windowOp is the shared body of every operator that serves a chunk
+// it holds whole: sources windowing an existing chunk (scans, ChunkScan)
+// and the breakers windowing their materialized output (breakerOp,
+// graphMatchOp, sharedOp). The chunk is either set at Open or produced
+// once by fill on the first Next; Next then hands out bounded zero-copy
+// windows of it, and materialize hands over the rest in one piece — the
+// zero-copy fast path drainInput relies on.
+type windowOp struct {
+	opBase
+	// fill produces the chunk on first use; nil for operators that set
+	// chunk at Open.
+	fill  func() (*storage.Chunk, error)
 	chunk *storage.Chunk
 	pos   int
 }
 
-func (w *outWindow) next(batch int) *storage.Chunk {
-	n := w.chunk.NumRows()
-	if w.pos >= n {
-		return nil
+func (o *windowOp) result() (err error) {
+	if o.chunk == nil {
+		o.chunk, err = o.fill()
 	}
-	hi := w.pos + batch
-	if hi > n {
-		hi = n
-	}
-	c := w.chunk.Slice(w.pos, hi)
-	w.pos = hi
-	return c
+	return err
 }
 
-// rest returns everything not yet windowed out as one chunk.
-func (w *outWindow) rest() *storage.Chunk {
-	n := w.chunk.NumRows()
-	if w.pos == 0 {
-		w.pos = n
-		return w.chunk
+func (o *windowOp) Next() (*storage.Chunk, error) {
+	if err := o.step(); err != nil {
+		return nil, err
 	}
-	c := w.chunk.Slice(w.pos, n)
-	w.pos = n
-	if c.NumRows() == 0 {
-		return nil
+	if err := o.result(); err != nil {
+		return nil, err
 	}
-	return c
+	n := o.chunk.NumRows()
+	if o.pos >= n {
+		return o.emit(nil), nil
+	}
+	hi := min(o.pos+o.ctx.batchRows(), n)
+	c := o.chunk.Slice(o.pos, hi)
+	o.pos = hi
+	return o.emit(c), nil
+}
+
+// Close ends the span; operators with children override it.
+func (o *windowOp) Close() error {
+	o.endSpan()
+	return nil
+}
+
+// materialize returns everything not yet windowed out as one chunk:
+// the held chunk itself when nothing was served yet, otherwise the
+// remaining slice (an empty chunk once exhausted).
+func (o *windowOp) materialize() (*storage.Chunk, error) {
+	if err := o.step(); err != nil {
+		return nil, err
+	}
+	if err := o.result(); err != nil {
+		return nil, err
+	}
+	n := o.chunk.NumRows()
+	c := o.chunk
+	if o.pos > 0 {
+		c = storage.NewChunk(o.sch)
+		if o.pos < n {
+			c = o.chunk.Slice(o.pos, n)
+		}
+	}
+	o.pos = n
+	return o.emit(c), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -407,9 +413,8 @@ func (w *outWindow) rest() *storage.Chunk {
 // under the caller's lock, so the batches stay valid — and isolated
 // from concurrent INSERT/DELETE — after the lock is released.
 type scanOp struct {
-	opBase
+	windowOp
 	scan *plan.Scan
-	win  outWindow
 }
 
 func (o *scanOp) Open(ctx *Context) error {
@@ -417,39 +422,14 @@ func (o *scanOp) Open(ctx *Context) error {
 	if err := o.openCheck(); err != nil {
 		return err
 	}
-	o.win.chunk = (&storage.Chunk{Schema: o.scan.Sch, Cols: o.scan.Table.Cols}).Snapshot()
-	return nil
-}
-
-func (o *scanOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *scanOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
-}
-
-func (o *scanOp) Close() error {
-	o.endSpan()
+	o.chunk = (&storage.Chunk{Schema: o.scan.Sch, Cols: o.scan.Table.Cols}).Snapshot()
 	return nil
 }
 
 // chunkOp windows an already-materialized chunk (ChunkScan).
 type chunkOp struct {
-	opBase
+	windowOp
 	src *storage.Chunk
-	win outWindow
 }
 
 func (o *chunkOp) Open(ctx *Context) error {
@@ -457,31 +437,7 @@ func (o *chunkOp) Open(ctx *Context) error {
 	if err := o.openCheck(); err != nil {
 		return err
 	}
-	o.win.chunk = o.src
-	return nil
-}
-
-func (o *chunkOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *chunkOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
-}
-
-func (o *chunkOp) Close() error {
-	o.endSpan()
+	o.chunk = o.src
 	return nil
 }
 
@@ -525,9 +481,7 @@ func (o *renameOp) materialize() (*storage.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &storage.Chunk{Schema: o.sch, Cols: in.Cols}
-	o.emit(out)
-	return out, nil
+	return o.emit(&storage.Chunk{Schema: o.sch, Cols: in.Cols}), nil
 }
 
 func (o *renameOp) Close() error {
@@ -622,7 +576,11 @@ func (o *projectOp) Close() error {
 	return err
 }
 
-// unnestOp expands nested-table paths incrementally: it fills each
+// unnestOp expands a nested-table column into rows (§2). The standard
+// inner form drops input rows whose path is NULL or empty; the outer
+// form (LEFT JOIN UNNEST ... ON TRUE) keeps them with null-extended
+// path columns, the behaviour the paper describes for preserving "the
+// empty collection". Expansion is incremental: it fills each
 // output batch up to the batch bound and remembers its position inside
 // the current input row's path, so even one row with a huge path never
 // forces an unbounded batch.
@@ -719,8 +677,8 @@ func (o *unnestOp) Close() error {
 }
 
 // limitOp skips and truncates without materializing: once the count is
-// exhausted it stops pulling its child entirely — the early
-// termination the materializing executor cannot express.
+// exhausted it stops pulling its child entirely — an early termination
+// a fully materializing executor cannot express.
 type limitOp struct {
 	opBase
 	l         *plan.Limit
@@ -854,20 +812,20 @@ func (o *unionAllOp) Close() error {
 // ---------------------------------------------------------------------------
 // Pipeline breakers
 
-// breakerOp is the generic pipeline breaker: it drains its children
-// batch-at-a-time into materialized chunks on the first Next, runs the
-// legacy executor's parallel core, and windows the output back into
+// breakerOp is the generic pipeline breaker: on the first Next it
+// drains its children batch-at-a-time into materialized chunks, runs
+// the node's parallel core over them, and windows the output back into
 // batches.
 type breakerOp struct {
-	opBase
+	windowOp
 	children []Operator
 	eval     func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error)
-	win      outWindow
-	done     bool
 }
 
 func newBreaker(n plan.Node, children []Operator, eval func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error)) *breakerOp {
-	return &breakerOp{opBase: newBase(n), children: children, eval: eval}
+	o := &breakerOp{windowOp: windowOp{opBase: newBase(n)}, children: children, eval: eval}
+	o.fill = o.compute
+	return o
 }
 
 func (o *breakerOp) Open(ctx *Context) error {
@@ -883,54 +841,20 @@ func (o *breakerOp) Open(ctx *Context) error {
 	return nil
 }
 
-// compute drains the inputs and runs the core exactly once. Children
-// are closed as soon as they are drained, so their trace spans report
-// production time, not the breaker's lifetime.
-func (o *breakerOp) compute() error {
-	if o.done {
-		return nil
-	}
+// compute drains the inputs and runs the core. Children are closed as
+// soon as they are drained, so their trace spans report production
+// time, not the breaker's lifetime.
+func (o *breakerOp) compute() (*storage.Chunk, error) {
 	ins := make([]*storage.Chunk, len(o.children))
 	for i, c := range o.children {
 		in, err := drainInput(c)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		c.Close()
 		ins[i] = in
 	}
-	out, err := o.eval(o.ctx, ins)
-	if err != nil {
-		return err
-	}
-	o.win.chunk = out
-	o.done = true
-	return nil
-}
-
-func (o *breakerOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *breakerOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
+	return o.eval(o.ctx, ins)
 }
 
 func (o *breakerOp) Close() error {
@@ -944,27 +868,31 @@ func (o *breakerOp) Close() error {
 	return err
 }
 
-// graphMatchOp is the pull form of the paper's graph select σ̂. Open
-// resolves — and refreshes — the cached dynamic graph index under the
-// caller's lock; the solve itself runs at the first Next, lock-free
-// under the index's own read lock. Without an index the edge subplan
-// is drained and a throwaway graph is built, exactly like the
-// materializing path.
+// graphMatchOp is the paper's graph select σ̂. Open resolves — and
+// refreshes — the cached dynamic graph index under the caller's lock;
+// the solve itself runs at the first Next, lock-free under the index's
+// own read lock. Without an index the edge subplan is drained and a
+// throwaway graph is built.
 //
 // Relaxation: with a cached index, a solve that runs after the
 // caller's lock was released may observe edges appended by writes that
 // committed after this statement's snapshot (the index delta absorbs
 // them). Reads and writes racing a streamed drain already have no
 // serialization point; the differential harness runs without
-// concurrent writes, where both executors are byte-identical.
+// concurrent writes, where results are byte-identical to the
+// reference.
 type graphMatchOp struct {
-	opBase
+	windowOp
 	g     *plan.GraphMatch
 	input Operator
 	edge  Operator
 	dg    *core.DynamicGraph
-	win   outWindow
-	done  bool
+}
+
+func newGraphMatch(g *plan.GraphMatch, input, edge Operator) *graphMatchOp {
+	o := &graphMatchOp{windowOp: windowOp{opBase: newBase(g)}, g: g, input: input, edge: edge}
+	o.fill = o.compute
+	return o
 }
 
 func (o *graphMatchOp) Open(ctx *Context) error {
@@ -981,7 +909,8 @@ func (o *graphMatchOp) Open(ctx *Context) error {
 	// A cached dynamic index serves scans of indexed base tables; rows
 	// inserted since the snapshot are absorbed into its delta here,
 	// under the caller's catalog lock (the refresh walks the live table
-	// chunk and must not race writers).
+	// chunk and must not race writers) — the paper's §6 updatable graph
+	// index.
 	if scan, ok := o.g.Edge.(*plan.Scan); ok && ctx.GraphIndexes != nil {
 		if dg, ok := ctx.GraphIndexes[GraphIndexKey(scan.Table.Name, o.g.SrcIdx, o.g.DstIdx)]; ok {
 			before := dg.AppliedRows()
@@ -1015,77 +944,39 @@ func (o *graphMatchOp) solverCtx() context.Context {
 	return stdctx
 }
 
-func (o *graphMatchOp) compute() error {
-	if o.done {
-		return nil
-	}
+func (o *graphMatchOp) compute() (*storage.Chunk, error) {
 	in, err := drainInput(o.input)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	o.input.Close()
 	xc, err := o.g.X.Eval(o.ctx.Expr, in)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	yc, err := o.g.Y.Eval(o.ctx.Expr, in)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	stdctx := o.solverCtx()
-	var out *storage.Chunk
 	if o.dg != nil {
-		out, err = o.dg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
-	} else {
-		var edges *storage.Chunk
-		edges, err = drainInput(o.edge)
-		if err != nil {
-			return err
-		}
-		o.edge.Close()
-		var pg *core.PreparedGraph
-		pg, err = core.BuildGraphCtx(stdctx, edges, o.g.SrcIdx, o.g.DstIdx, o.ctx.Parallelism)
-		if err != nil {
-			return err
-		}
-		if o.ctx.Stats != nil {
-			o.ctx.Stats.GraphBuilds++
-			o.ctx.Stats.GraphBuildVertices += pg.NumVertices()
-			o.ctx.Stats.GraphBuildEdges += pg.NumEdges()
-		}
-		out, err = pg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
+		return o.dg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
 	}
+	edges, err := drainInput(o.edge)
 	if err != nil {
-		return err
-	}
-	o.win.chunk = out
-	o.done = true
-	return nil
-}
-
-func (o *graphMatchOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
 		return nil, err
 	}
-	if err := o.compute(); err != nil {
+	o.edge.Close()
+	pg, err := core.BuildGraphCtx(stdctx, edges, o.g.SrcIdx, o.g.DstIdx, o.ctx.Parallelism)
+	if err != nil {
 		return nil, err
 	}
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *graphMatchOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
+	if o.ctx.Stats != nil {
+		o.ctx.Stats.GraphBuilds++
+		o.ctx.Stats.GraphBuildVertices += pg.NumVertices()
+		o.ctx.Stats.GraphBuildEdges += pg.NumEdges()
 	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
+	return pg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
 }
 
 func (o *graphMatchOp) Close() error {
@@ -1103,7 +994,6 @@ func (o *graphMatchOp) Close() error {
 type sharedState struct {
 	op     Operator
 	opened bool
-	done   bool
 	closed bool
 	chunk  *storage.Chunk
 }
@@ -1113,9 +1003,14 @@ type sharedState struct {
 // shared subtree; every reference then windows the one materialized
 // chunk independently.
 type sharedOp struct {
-	opBase
+	windowOp
 	state *sharedState
-	win   outWindow
+}
+
+func newShared(n *plan.Shared, state *sharedState) *sharedOp {
+	o := &sharedOp{windowOp: windowOp{opBase: newBase(n)}, state: state}
+	o.fill = o.compute
+	return o
 }
 
 func (o *sharedOp) Open(ctx *Context) error {
@@ -1130,47 +1025,18 @@ func (o *sharedOp) Open(ctx *Context) error {
 	return nil
 }
 
-func (o *sharedOp) compute() error {
+func (o *sharedOp) compute() (*storage.Chunk, error) {
 	st := o.state
-	if st.done {
-		return nil
+	if st.chunk == nil {
+		chunk, err := drainInput(st.op)
+		if err != nil {
+			return nil, err
+		}
+		st.op.Close()
+		st.closed = true
+		st.chunk = chunk
 	}
-	chunk, err := drainInput(st.op)
-	if err != nil {
-		return err
-	}
-	st.op.Close()
-	st.closed = true
-	st.chunk = chunk
-	st.done = true
-	return nil
-}
-
-func (o *sharedOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	o.win.chunk = o.state.chunk
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *sharedOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	o.win.chunk = o.state.chunk
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
+	return st.chunk, nil
 }
 
 func (o *sharedOp) Close() error {

@@ -3,38 +3,47 @@ package exec
 import (
 	"testing"
 
+	"graphsql/internal/analyze"
+	"graphsql/internal/core"
 	"graphsql/internal/expr"
 	"graphsql/internal/plan"
+	"graphsql/internal/sql/ast"
+	"graphsql/internal/sql/parser"
 	"graphsql/internal/storage"
 	"graphsql/internal/types"
 )
 
-// Per-operator pull-vs-materialize differential: each operator's pull
-// form, driven at several batch sizes (including batch=1, where every
-// batch boundary is a window boundary), must materialize to exactly
-// what the legacy interpreter produces. Breakers share the
-// materializing cores so they are identical by construction; the point
-// of this test is the pipeline operators' re-batching logic.
+// Per-operator differential against the test-only reference
+// interpreter (reference_test.go): each operator, driven at several
+// batch sizes (including batch=1, where every batch boundary is a
+// window boundary), must materialize to exactly what the recursive
+// interpreter produces. Breakers share the materializing cores, so the
+// point of this test is the pipeline operators' re-batching logic and
+// GraphMatch's graph acquisition.
 
-// diffBatchSizes are the pull batch bounds under differential test:
+// diffBatchSizes are the batch bounds under differential test:
 // degenerate, smaller than / coprime to the inputs, and the default.
 var diffBatchSizes = []int{1, 2, 3, DefaultBatchRows}
 
-// diffExec runs n under the materializing interpreter and under the
-// pull executor at every diffBatchSizes entry, requiring render-
-// identical results.
-func diffExec(t *testing.T, name string, n plan.Node) {
+// diffExec runs n under the reference interpreter and under the pull
+// executor at every diffBatchSizes entry, requiring render-identical
+// results. indexes, when non-nil, gives every run its own fresh set of
+// cached graph indexes to serve GraphMatch through.
+func diffExec(t *testing.T, name string, n plan.Node, indexes func() map[string]*core.DynamicGraph) {
 	t.Helper()
-	ref, err := Execute(n, &Context{Materialize: true})
+	if indexes == nil {
+		indexes = func() map[string]*core.DynamicGraph { return nil }
+	}
+	ref, err := referenceExecute(n, &Context{GraphIndexes: indexes()})
 	if err != nil {
-		t.Fatalf("%s: materialize: %v", name, err)
+		t.Fatalf("%s: reference: %v", name, err)
 	}
 	if err := ref.Validate(); err != nil {
-		t.Fatalf("%s: materialize output invalid: %v", name, err)
+		t.Fatalf("%s: reference output invalid: %v", name, err)
 	}
 	want := ref.String()
 	for _, br := range diffBatchSizes {
-		got, err := Execute(n, &Context{BatchRows: br})
+		got, err := Execute(n, &Context{GraphIndexes: indexes(), BatchRows: br})
 		if err != nil {
 			t.Fatalf("%s: pull batch=%d: %v", name, br, err)
 		}
@@ -42,10 +51,68 @@ func diffExec(t *testing.T, name string, n plan.Node) {
 			t.Fatalf("%s: pull batch=%d output invalid: %v", name, br, err)
 		}
 		if got.String() != want {
-			t.Errorf("%s: pull batch=%d differs from materialize\n--- materialize (%d rows)\n%s\n--- pull (%d rows)\n%s",
+			t.Errorf("%s: pull batch=%d differs from the reference\n--- reference (%d rows)\n%s\n--- pull (%d rows)\n%s",
 				name, br, ref.NumRows(), want, got.NumRows(), got.String())
 		}
 	}
+}
+
+// graphCatalog holds a weighted edge table e — a 1→…→8 chain, whose
+// 1-to-8 path is longer than every small batch bound, plus shortcuts
+// and a 9↔10 island — and a pair table q with reachable, unreachable
+// and self pairs (the last two yield NULL and empty paths).
+func graphCatalog(t *testing.T) *storage.Catalog {
+	t.Helper()
+	cat := storage.NewCatalog()
+	ints := func(name string, cols ...string) *storage.Table {
+		sch := make(storage.Schema, len(cols))
+		for i, c := range cols {
+			sch[i] = storage.ColMeta{Name: c, Kind: types.KindInt}
+		}
+		tbl, err := cat.CreateTable(name, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	appendRows := func(tbl *storage.Table, rows ...[]int64) {
+		for _, r := range rows {
+			vals := make([]types.Value, len(r))
+			for i, v := range r {
+				vals[i] = types.NewInt(v)
+			}
+			if err := tbl.AppendRow(vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e := ints("e", "s", "d", "w")
+	for v := int64(1); v < 8; v++ {
+		appendRows(e, []int64{v, v + 1, 1})
+	}
+	appendRows(e, []int64{1, 5, 9}, []int64{3, 7, 5}, []int64{9, 10, 1}, []int64{10, 9, 1})
+	q := ints("q", "a", "b")
+	appendRows(q, []int64{1, 8}, []int64{2, 6}, []int64{8, 1}, []int64{4, 4}, []int64{9, 10}, []int64{1, 3})
+	return cat
+}
+
+// bindSQL binds and rewrites one SELECT against cat, as the engine
+// does before execution.
+func bindSQL(t *testing.T, cat *storage.Catalog, sql string) plan.Node {
+	t.Helper()
+	stmt, err := parser.Parse(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	sel, ok := stmt.(*ast.SelectStmt)
+	if !ok {
+		t.Fatalf("%s: not a SELECT", sql)
+	}
+	n, err := analyze.BindSelect(cat, sel, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return plan.Rewrite(n)
 }
 
 func TestPullOperatorDifferential(t *testing.T) {
@@ -57,10 +124,11 @@ func TestPullOperatorDifferential(t *testing.T) {
 			L: &expr.ColRef{Idx: idx, K: types.KindInt},
 			R: &expr.Const{Val: types.NewInt(v)}}
 	}
-	cases := []struct {
+	type diffCase struct {
 		name string
 		n    plan.Node
-	}{
+	}
+	cases := []diffCase{
 		{"scan", scan(base)},
 		{"filter", &plan.Filter{Input: scan(base), Pred: gt(0, 4)}},
 		{"filter-none", &plan.Filter{Input: scan(base), Pred: gt(0, 99)}},
@@ -93,13 +161,48 @@ func TestPullOperatorDifferential(t *testing.T) {
 		{"distinct", &plan.Distinct{Input: scan(base)}},
 	}
 	sh := &plan.Shared{Input: scan(base), Name: "cte"}
-	cases = append(cases, struct {
-		name string
-		n    plan.Node
-	}{"shared", &plan.Join{Type: plan.JoinCross, Left: sh, Right: sh}})
+	cases = append(cases, diffCase{"shared", &plan.Join{Type: plan.JoinCross, Left: sh, Right: sh}})
 	for _, tc := range cases {
-		diffExec(t, tc.name, tc.n)
+		diffExec(t, tc.name, tc.n, nil)
 	}
+
+	// Graph shapes, bound from SQL so the plans carry real GraphMatch,
+	// Unnest and Rename nodes.
+	cat := graphCatalog(t)
+	const paths = `(SELECT q.a, q.b, CHEAPEST SUM(x: w) AS (c, p) FROM q
+		WHERE q.a REACHES q.b OVER e x EDGE (s, d)) t`
+	graphCases := []struct{ name, sql string }{
+		{"rename", `SELECT t.a + t.b FROM (SELECT a, b FROM q) t`},
+		{"graphmatch", `SELECT q.a, q.b, CHEAPEST SUM(x: w) AS (c, p) FROM q
+			WHERE q.a REACHES q.b OVER e x EDGE (s, d)`},
+		{"unnest", `SELECT t.a, t.b, r.s, r.d, r.w FROM ` + paths + `, UNNEST(t.p) AS r`},
+		{"unnest-outer", `SELECT t.a, t.b, r.s, r.d FROM ` + paths + ` LEFT JOIN UNNEST(t.p) AS r ON TRUE`},
+		{"unnest-ordinality", `SELECT t.a, r.ordinality, r.s FROM ` + paths + `, UNNEST(t.p) WITH ORDINALITY AS r`},
+		// The 1→8 path has 7 edges, more than batch bounds 1, 2 and 3,
+		// so unnestOp must resume inside one input row's path.
+		{"unnest-long-path", `SELECT r.ordinality, r.s, r.d FROM (
+			SELECT CHEAPEST SUM(x: w) AS (c, p) WHERE 1 REACHES 8 OVER e x EDGE (s, d)) t,
+			UNNEST(t.p) WITH ORDINALITY AS r`},
+	}
+	for _, gc := range graphCases {
+		diffExec(t, gc.name, bindSQL(t, cat, gc.sql), nil)
+	}
+	// Through a cached graph index whose snapshot predates the last
+	// edge, so every run must absorb it into the delta; the 4→8
+	// shortcut changes the 1→8 answer, so a stale index would show.
+	etbl, _ := cat.Table("e")
+	if err := etbl.AppendRow([]types.Value{types.NewInt(4), types.NewInt(8), types.NewInt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	indexed := func() map[string]*core.DynamicGraph {
+		snapshot := etbl.Chunk().Slice(0, etbl.NumRows()-1)
+		dg, err := core.NewDynamicGraphP(snapshot, 0, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]*core.DynamicGraph{GraphIndexKey("e", 0, 1): dg}
+	}
+	diffExec(t, "graphmatch-indexed", bindSQL(t, cat, graphCases[1].sql), indexed)
 	// A deep pipeline: filter → project → limit over a sorted CTE,
 	// exercising re-batching across several pipeline stages at once.
 	deep := &plan.Limit{
@@ -113,14 +216,14 @@ func TestPullOperatorDifferential(t *testing.T) {
 			},
 		},
 	}
-	diffExec(t, "deep-pipeline", deep)
+	diffExec(t, "deep-pipeline", deep, nil)
 }
 
 // TestPullBoundedIntermediates proves the memory claim of the pull
 // executor: with a batch bound in force, no pipeline operator ever
 // emits a batch above the bound — intermediate state stays O(BatchRows
-// × pipeline depth), independent of input size — while the
-// materializing executor flows the full input through every operator.
+// × pipeline depth), independent of input size — where the reference
+// interpreter flows the full input through every operator.
 func TestPullBoundedIntermediates(t *testing.T) {
 	const total, bound = 4096, 32
 	vals := make([]int64, total)
@@ -161,8 +264,8 @@ func TestPullBoundedIntermediates(t *testing.T) {
 
 // TestPullLimitStopsPulling proves early termination: once a Limit's
 // quota fills, it stops pulling its child, so the operators upstream
-// only ever produce the prefix the query needs. Under materialization
-// the same plan runs the child to completion.
+// only ever produce the prefix the query needs. The reference
+// interpreter runs the same plan's child to completion.
 func TestPullLimitStopsPulling(t *testing.T) {
 	const total, bound, want = 1000, 10, 25
 	vals := make([]int64, total)

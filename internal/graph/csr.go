@@ -113,20 +113,15 @@ func buildCSRSeq(ctx context.Context, n int, src, dst []VertexID) (*CSR, error) 
 	return &CSR{N: n, Offsets: offsets, Targets: targets, Perm: perm}, nil
 }
 
-// BuildCSRParallel is BuildCSR with chunked parallel degree counting
-// and scattering. The layout is identical to BuildCSR's: each chunk
-// scatters into slots reserved in row order, so CSR positions (and
-// Perm) come out bit-identical regardless of scheduling. Inputs below
-// the size threshold fall back to the sequential builder.
-func BuildCSRParallel(n int, src, dst []VertexID, parallelism int) (*CSR, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use BuildCSRParallelCtx
-	return BuildCSRParallelCtx(context.Background(), n, src, dst, parallelism)
-}
-
-// BuildCSRParallelCtx is BuildCSRParallel with a cancellation context,
-// polled every cancelCheckInterval rows inside the chunked degree-count
-// and scatter loops (and the sequential fallback), so a cancel landing
-// during graph construction aborts within a few thousand rows.
+// BuildCSRParallelCtx is BuildCSR with chunked parallel degree
+// counting and scattering. The layout is identical to BuildCSR's: each
+// chunk scatters into slots reserved in row order, so CSR positions
+// (and Perm) come out bit-identical regardless of scheduling. Inputs
+// below the size threshold fall back to the sequential builder. The
+// cancellation context is polled every cancelCheckInterval rows inside
+// the chunked degree-count and scatter loops (and the sequential
+// fallback), so a cancel landing during graph construction aborts
+// within a few thousand rows.
 func BuildCSRParallelCtx(ctx context.Context, n int, src, dst []VertexID, parallelism int) (*CSR, error) {
 	workers := resolveWorkers(parallelism)
 	// Keep every chunk large enough that the per-chunk count arrays

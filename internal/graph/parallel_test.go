@@ -238,7 +238,7 @@ func TestBulkEncodeMatchesSequential(t *testing.T) {
 	parDict := NewStringDict(0)
 	parDict.EncodeString("pre")
 	got := make([]VertexID, m)
-	parDict.EncodeColumnsString([][]string{keys}, [][]VertexID{got}, 4)
+	parDict.EncodeColumnsStringCtx(context.Background(), [][]string{keys}, [][]VertexID{got}, 4)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("string bulk encoding differs from sequential")
 	}
@@ -260,7 +260,7 @@ func TestBuildCSRParallelPublicThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildCSRParallel(n, src, dst, 4)
+	got, err := BuildCSRParallelCtx(context.Background(), n, src, dst, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

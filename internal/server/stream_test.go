@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"graphsql/internal/exec"
 	"graphsql/internal/fault"
 	"graphsql/internal/testutil"
 	"graphsql/internal/wire"
@@ -135,9 +134,6 @@ INSERT INTO big SELECT n1.x, n2.x FROM nums n1, nums n2;`, numsList(side))
 // genuinely working during the drain), so the in-flight slot must read
 // 1 when the first frame lands and 0 only after the trailer.
 func TestServerStreamFirstFrameBeforeCompletion(t *testing.T) {
-	if exec.DefaultMaterialize() {
-		t.Skip("time-to-first-row is a pull-executor property; under GSQL_EXEC=materialize the escape hatch executes fully before streaming")
-	}
 	t.Cleanup(fault.Reset)
 	s, hs := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: -1, TotalWorkers: 1})
 	script := fmt.Sprintf(`CREATE TABLE nums (x BIGINT);
