@@ -450,11 +450,14 @@ func (db *DB) QueryScalar(sql string, args ...any) (any, error) {
 }
 
 // ExecScript runs a semicolon-separated script and returns the result
-// of the last statement.
-func (db *DB) ExecScript(sql string) (*Result, error) {
+// of the last statement. The script runs under the write lock; a
+// canceled ctx stops it before the next statement (and inside a long
+// one) with the context's error, keeping the statements that already
+// ran.
+func (db *DB) ExecScript(ctx context.Context, sql string) (*Result, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	chunk, err := db.eng.ExecScript(sql)
+	chunk, err := db.eng.ExecScriptCtx(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -496,12 +499,16 @@ func (db *DB) Explain(sql string, args ...any) (string, error) {
 // BuildGraphIndex precomputes and caches the graph (vertex dictionary
 // + CSR) of an edge table over the given source/destination columns —
 // the 'graph index' of the paper's §6. REACHES queries over that exact
-// table and column pair then skip graph construction. Writes to the
-// table invalidate the index.
+// table and column pair then skip graph construction. Inserted rows
+// are absorbed into the index at the next query; DELETE and DROP
+// invalidate it. The build uses the DB's worker budget, but queries
+// over the index solve at their own (QueryOptions.Workers, a session's
+// SET parallelism, or the DB default).
 func (db *DB) BuildGraphIndex(table, src, dst string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.eng.BuildGraphIndex(table, src, dst)
+	//gsqlvet:allow ctxprop non-ctx set-up entry point; the build runs before serving, not per request
+	return db.eng.BuildGraphIndex(context.Background(), table, src, dst)
 }
 
 // DropGraphIndexes discards all cached graph indexes of a table.

@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -122,7 +123,7 @@ func Table1(o Options) error {
 func timeQuery(e *engine.Engine, q string, src, dst []int64) (time.Duration, error) {
 	start := time.Now()
 	for i := range src {
-		if _, err := e.Query(q, types.NewInt(src[i]), types.NewInt(dst[i])); err != nil {
+		if _, err := e.QueryCtx(context.Background(), q, types.NewInt(src[i]), types.NewInt(dst[i])); err != nil {
 			return 0, err
 		}
 	}
@@ -144,7 +145,7 @@ func Fig1a(o Options) error {
 		e.SetParallelism(o.Parallelism)
 		src, dst := ds.RandomPairs(o.Pairs, o.Seed+uint64(sf))
 		// Warm up once so first-use allocation noise drops out.
-		if _, err := e.Query(Q13, types.NewInt(src[0]), types.NewInt(dst[0])); err != nil {
+		if _, err := e.QueryCtx(context.Background(), Q13, types.NewInt(src[0]), types.NewInt(dst[0])); err != nil {
 			return err
 		}
 		t13, err := timeQuery(e, Q13, src, dst)
@@ -213,7 +214,7 @@ func RunBatch(e *engine.Engine, ds *ldbc.Dataset, b int, seed uint64) (time.Dura
 		FROM pairs p
 		WHERE p.src REACHES p.dst OVER friends EDGE (src, dst)`
 	start := time.Now()
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryCtx(context.Background(), q); err != nil {
 		return 0, err
 	}
 	return time.Since(start) / time.Duration(b), nil
@@ -235,22 +236,23 @@ func Baselines(o Options) error {
 	}
 	src, dst := ds.RandomPairs(n, o.Seed)
 	fmt.Fprintf(o.Out, "E4 baselines: unweighted distance, SF %d shrink=%d, %d pairs\n", sf, o.Shrink, n)
+	ctx := context.Background()
 	type method struct {
 		name string
 		run  func(s, d int64) (int64, error)
 	}
 	methods := []method{
 		{"native REACHES", func(s, d int64) (int64, error) {
-			return baseline.Native(e, "friends", "src", "dst", s, d)
+			return baseline.Native(ctx, e, "friends", "src", "dst", s, d)
 		}},
 		{"recursive CTE", func(s, d int64) (int64, error) {
-			return baseline.RecursiveCTE(e, "friends", "src", "dst", s, d, 0)
+			return baseline.RecursiveCTE(ctx, e, "friends", "src", "dst", s, d, 0)
 		}},
 		{"PSM (row-at-a-time)", func(s, d int64) (int64, error) {
-			return baseline.PSM(e, "friends", "src", "dst", s, d, 0)
+			return baseline.PSM(ctx, e, "friends", "src", "dst", s, d, 0)
 		}},
 		{"self-join chain (<=3 hops)", func(s, d int64) (int64, error) {
-			return baseline.SelfJoinChain(e, "friends", "src", "dst", s, d, 3)
+			return baseline.SelfJoinChain(ctx, e, "friends", "src", "dst", s, d, 3)
 		}},
 	}
 	fmt.Fprintf(o.Out, "%-28s %14s\n", "method", "avg time (s)")
@@ -286,16 +288,17 @@ func Phases(o Options) error {
 		friends, _ := e.Catalog().Table("friends")
 		// Phase 1: CSR construction from the edge chunk.
 		start := time.Now()
-		pg, err := core.BuildGraphP(friends.Chunk(), 0, 1, o.Parallelism)
+		ctx := context.Background()
+		g, err := core.BuildGraphCtx(ctx, friends.Chunk(), 0, 1, o.Parallelism)
 		if err != nil {
 			return err
 		}
 		build := time.Since(start)
-		// Phase 2: one BFS on the prepared graph.
+		// Phase 2: one BFS per pair on the built graph.
 		src, dst := ds.RandomPairs(o.Pairs, o.Seed)
 		start = time.Now()
 		for i := range src {
-			if _, err := pg.Reachability(types.NewInt(src[i]), types.NewInt(dst[i])); err != nil {
+			if _, err := g.Reachability(ctx, types.NewInt(src[i]), types.NewInt(dst[i]), o.Parallelism); err != nil {
 				return err
 			}
 		}
@@ -305,7 +308,7 @@ func Phases(o Options) error {
 		if err != nil {
 			return err
 		}
-		if err := e.BuildGraphIndex("friends", "src", "dst"); err != nil {
+		if err := e.BuildGraphIndex(ctx, "friends", "src", "dst"); err != nil {
 			return err
 		}
 		tIndexed, err := timeQuery(e, Q13, src, dst)
@@ -384,7 +387,7 @@ func BuildRuntimeGraph(ds *ldbc.Dataset) (*graph.CSR, []int64, *graph.Dict) {
 	for i := 0; i < m; i++ {
 		dst[i] = dict.EncodeInt(ds.Dst[i])
 	}
-	g, err := graph.BuildCSR(dict.Len(), src, dst)
+	g, err := graph.BuildCSRParallelCtx(context.Background(), dict.Len(), src, dst, 1)
 	if err != nil {
 		panic(err) // ids are dense by construction
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -44,7 +45,7 @@ func RunDynamicPolicy(policy string, sf, shrink, pairs int, seed uint64) (time.D
 		return 0, err
 	}
 	if policy != "adhoc" {
-		if err := e.BuildGraphIndex("friends", "src", "dst"); err != nil {
+		if err := e.BuildGraphIndex(context.Background(), "friends", "src", "dst"); err != nil {
 			return 0, err
 		}
 	}
@@ -68,13 +69,13 @@ func RunDynamicPolicy(policy string, sf, shrink, pairs int, seed uint64) (time.D
 		}
 		if policy == "rebuild" {
 			e.DropGraphIndexes("friends")
-			if err := e.BuildGraphIndex("friends", "src", "dst"); err != nil {
+			if err := e.BuildGraphIndex(context.Background(), "friends", "src", "dst"); err != nil {
 				return 0, err
 			}
 		}
 		for q := 0; q < pairs; q++ {
 			s, d := take()
-			if _, err := e.Query(Q13, types.NewInt(s), types.NewInt(d)); err != nil {
+			if _, err := e.QueryCtx(context.Background(), Q13, types.NewInt(s), types.NewInt(d)); err != nil {
 				return 0, err
 			}
 		}
@@ -102,7 +103,7 @@ func VerifyDynamicAgainstAdhoc(sf, shrink, pairs int, seed uint64) error {
 			return err
 		}
 		if policy != "adhoc" {
-			if err := e.BuildGraphIndex("friends", "src", "dst"); err != nil {
+			if err := e.BuildGraphIndex(context.Background(), "friends", "src", "dst"); err != nil {
 				return err
 			}
 		}
@@ -114,12 +115,12 @@ func VerifyDynamicAgainstAdhoc(sf, shrink, pairs int, seed uint64) error {
 			appendFriend(friends, dst[i], src[i])
 			if policy == "rebuild" {
 				e.DropGraphIndexes("friends")
-				if err := e.BuildGraphIndex("friends", "src", "dst"); err != nil {
+				if err := e.BuildGraphIndex(context.Background(), "friends", "src", "dst"); err != nil {
 					return err
 				}
 			}
 			s, d := src[pairs+i], dst[pairs+i]
-			res, err := e.Query(Q13, types.NewInt(s), types.NewInt(d))
+			res, err := e.QueryCtx(context.Background(), Q13, types.NewInt(s), types.NewInt(d))
 			if err != nil {
 				return err
 			}

@@ -83,23 +83,26 @@ func TestBuildGraphCtxMidBuild(t *testing.T) {
 	}
 }
 
-// TestBuildGraphCtxUncanceled: with a context that never fires, the
-// ctx-threaded build is bit-identical to the plain one.
+// TestBuildGraphCtxUncanceled: with a cancelable context that never
+// fires, the build is bit-identical to one under a context that can
+// never cancel.
 func TestBuildGraphCtxUncanceled(t *testing.T) {
 	c := bigEdgeChunk(70000)
-	want, err := BuildGraphP(c, 0, 1, 4)
+	want, err := BuildGraphCtx(context.Background(), c, 0, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildGraphCtx(context.Background(), c, 0, 1, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := BuildGraphCtx(ctx, c, 0, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.CSR, got.CSR) {
+	if !reflect.DeepEqual(want.csr, got.csr) {
 		t.Fatal("ctx-threaded build produced a different CSR")
 	}
-	if want.Dict.Len() != got.Dict.Len() {
-		t.Fatalf("dictionary size %d != %d", got.Dict.Len(), want.Dict.Len())
+	if want.dict.Len() != got.dict.Len() {
+		t.Fatalf("dictionary size %d != %d", got.dict.Len(), want.dict.Len())
 	}
 }
 
@@ -111,26 +114,26 @@ func TestRefreshCtxCanceledRebuild(t *testing.T) {
 	c := bigEdgeChunk(70000)
 	// Snapshot over the first half of the rows.
 	half := c.Gather(seqRows(35000))
-	dg, err := NewDynamicGraphP(half, 0, 1, 1)
+	dg, err := BuildGraphCtx(context.Background(), half, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied := dg.AppliedRows()
+	applied := dg.appliedRows
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Doubling the edge count blows the default 25% rebuild threshold,
 	// so this refresh takes the full-rebuild path — which must abort.
-	if _, err := dg.RefreshCtx(ctx, c); !errors.Is(err, context.Canceled) {
+	if _, _, err := dg.Refresh(ctx, c, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled from rebuild, got %v", err)
 	}
-	if got := dg.AppliedRows(); got != applied {
+	if got := dg.appliedRows; got != applied {
 		t.Fatalf("canceled rebuild moved appliedRows: %d -> %d", applied, got)
 	}
 	// The index still answers over its old snapshot afterwards.
-	if _, err := dg.RefreshCtx(context.Background(), c); err != nil {
+	if _, _, err := dg.Refresh(context.Background(), c, 1); err != nil {
 		t.Fatalf("refresh after canceled rebuild: %v", err)
 	}
-	if got := dg.AppliedRows(); got != 70000 {
+	if got := dg.appliedRows; got != 70000 {
 		t.Fatalf("post-cancel refresh applied %d rows, want 70000", got)
 	}
 }

@@ -24,28 +24,28 @@ func appendEdge(c *storage.Chunk, s, d, w int64) {
 
 func TestDynamicGraphAbsorbsAppends(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}, {2, 3, 1}})
-	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
+	dg, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _ := dg.Reachability(types.NewInt(3), types.NewInt(1))
+	ok, _ := dg.Reachability(context.Background(), types.NewInt(3), types.NewInt(1), 0)
 	if ok {
 		t.Fatal("3 must not reach 1 before the append")
 	}
 	// Close the cycle and introduce a brand-new vertex 4.
 	appendEdge(tbl, 3, 1, 1)
 	appendEdge(tbl, 3, 4, 1)
-	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
+	if _, _, err := dg.Refresh(context.Background(), tbl, 0); err != nil {
 		t.Fatal(err)
 	}
-	if dg.DeltaEdges() != 2 {
-		t.Fatalf("delta edges = %d, want 2", dg.DeltaEdges())
+	if dg.deltaEdges() != 2 {
+		t.Fatalf("delta edges = %d, want 2", dg.deltaEdges())
 	}
-	ok, _ = dg.Reachability(types.NewInt(3), types.NewInt(1))
+	ok, _ = dg.Reachability(context.Background(), types.NewInt(3), types.NewInt(1), 0)
 	if !ok {
 		t.Fatal("3 must reach 1 through the delta edge")
 	}
-	ok, _ = dg.Reachability(types.NewInt(1), types.NewInt(4))
+	ok, _ = dg.Reachability(context.Background(), types.NewInt(1), types.NewInt(4), 0)
 	if !ok {
 		t.Fatal("1 must reach the new vertex 4")
 	}
@@ -53,55 +53,54 @@ func TestDynamicGraphAbsorbsAppends(t *testing.T) {
 
 func TestDynamicGraphRefreshIsIdempotent(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}})
-	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
+	dg, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
+		if _, _, err := dg.Refresh(context.Background(), tbl, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if dg.DeltaEdges() != 0 {
-		t.Fatalf("no-op refreshes created %d delta edges", dg.DeltaEdges())
+	if dg.deltaEdges() != 0 {
+		t.Fatalf("no-op refreshes created %d delta edges", dg.deltaEdges())
 	}
 	appendEdge(tbl, 2, 3, 1)
-	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
+	if _, _, err := dg.Refresh(context.Background(), tbl, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
+	if _, _, err := dg.Refresh(context.Background(), tbl, 0); err != nil {
 		t.Fatal(err)
 	}
-	if dg.DeltaEdges() != 1 {
-		t.Fatalf("delta edges = %d, want 1 (double refresh must not duplicate)", dg.DeltaEdges())
+	if dg.deltaEdges() != 1 {
+		t.Fatalf("delta edges = %d, want 1 (double refresh must not duplicate)", dg.deltaEdges())
 	}
 }
 
 func TestDynamicGraphRebuildOnLargeDelta(t *testing.T) {
 	tbl := dynTable([][3]int64{{0, 1, 1}})
-	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
+	dg, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg.RebuildFraction = 0.25
 	// Push well past the 64-edge floor of the rebuild threshold.
 	for i := int64(1); i <= 100; i++ {
 		appendEdge(tbl, i, i+1, 1)
 	}
-	rebuilt, err := dg.RefreshCtx(context.Background(), tbl)
+	_, rebuilt, err := dg.Refresh(context.Background(), tbl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rebuilt {
 		t.Fatal("a 100-edge delta over a 1-edge snapshot must rebuild")
 	}
-	if dg.DeltaEdges() != 0 {
+	if dg.deltaEdges() != 0 {
 		t.Fatal("rebuild must clear the delta")
 	}
-	if dg.Prepared().NumEdges() != 101 {
-		t.Fatalf("snapshot edges = %d, want 101", dg.Prepared().NumEdges())
+	if dg.NumEdges() != 101 {
+		t.Fatalf("snapshot edges = %d, want 101", dg.NumEdges())
 	}
-	ok, _ := dg.Reachability(types.NewInt(0), types.NewInt(101))
+	ok, _ := dg.Reachability(context.Background(), types.NewInt(0), types.NewInt(101), 0)
 	if !ok {
 		t.Fatal("0 must reach 101 after the rebuild")
 	}
@@ -109,24 +108,24 @@ func TestDynamicGraphRebuildOnLargeDelta(t *testing.T) {
 
 func TestDynamicGraphRejectsShrunkTable(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}, {2, 3, 1}})
-	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
+	dg, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	smaller := dynTable([][3]int64{{1, 2, 1}})
-	if _, err := dg.RefreshCtx(context.Background(), smaller); err == nil {
+	if _, _, err := dg.Refresh(context.Background(), smaller, 0); err == nil {
 		t.Fatal("a shrunk table must violate the append-only contract")
 	}
 }
 
 func TestDynamicGraphDoesNotCorruptBaseTable(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}})
-	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
+	dg, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendEdge(tbl, 2, 3, 1)
-	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
+	if _, _, err := dg.Refresh(context.Background(), tbl, 0); err != nil {
 		t.Fatal(err)
 	}
 	// The index's private edge chunk grows; the base table must not.
@@ -150,7 +149,7 @@ func TestPropertyDynamicEqualsRebuilt(t *testing.T) {
 		for i := 0; i < 1+r.Intn(8); i++ {
 			appendEdge(tbl, int64(r.Intn(n)), int64(r.Intn(n)), 1)
 		}
-		dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
+		dg, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +157,7 @@ func TestPropertyDynamicEqualsRebuilt(t *testing.T) {
 			for i := 0; i < r.Intn(6); i++ {
 				appendEdge(tbl, int64(r.Intn(n)), int64(r.Intn(n)), 1)
 			}
-			if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
+			if _, _, err := dg.Refresh(context.Background(), tbl, 0); err != nil {
 				t.Fatal(err)
 			}
 			fresh, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
@@ -167,11 +166,11 @@ func TestPropertyDynamicEqualsRebuilt(t *testing.T) {
 			}
 			for s := 0; s < n; s++ {
 				for d := 0; d < n; d++ {
-					want, err := fresh.Reachability(types.NewInt(int64(s)), types.NewInt(int64(d)))
+					want, err := fresh.Reachability(context.Background(), types.NewInt(int64(s)), types.NewInt(int64(d)), 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := dg.Reachability(types.NewInt(int64(s)), types.NewInt(int64(d)))
+					got, err := dg.Reachability(context.Background(), types.NewInt(int64(s)), types.NewInt(int64(d)), 0)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -21,122 +21,20 @@ import (
 	"graphsql/internal/types"
 )
 
-// PreparedGraph is a reusable compiled graph: the vertex dictionary,
-// the CSR and the (compacted) edge chunk it references. Building it is
-// the dominant cost of a shortest-path query (§4); caching it across
-// queries is the 'graph index' of the paper's future work (§6),
-// exposed through the facade's BuildGraphIndex.
-type PreparedGraph struct {
-	// Dict maps vertex keys to H = {0..N-1}.
-	Dict *graph.Dict
-	// CSR is the adjacency structure.
-	CSR *graph.CSR
-	// Edges is the materialized edge chunk the CSR indexes; rows with
-	// NULL endpoints were removed.
-	Edges *storage.Chunk
-	// SrcIdx and DstIdx locate the key columns inside Edges.
-	SrcIdx, DstIdx int
-	// KeyKind is the shared type of the vertex keys.
-	KeyKind types.Kind
-	// Parallelism is the worker budget for solving over this graph
-	// (and for rebuilding it); <= 0 means one worker per CPU.
-	Parallelism int
-	// edgesOwned reports whether Edges is a private copy (true after
-	// NULL compaction or the first dynamic-index append) rather than
-	// an alias of the base table columns.
-	edgesOwned bool
-}
-
-// stringKeyed reports whether vertex keys use the string key space.
-func stringKeyed(k types.Kind) bool { return k == types.KindString }
-
-// BuildGraphP compiles an edge chunk into a PreparedGraph with an
-// explicit parallelism: dictionary encoding and CSR construction run
-// chunked over up to that many workers (<= 0 means one per CPU), and
-// solvers over the resulting graph inherit the same budget. The graph
-// is bit-identical to a sequential build at any setting. The source
-// and destination columns must share one comparable scalar kind.
-func BuildGraphP(edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*PreparedGraph, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use BuildGraphCtx
-	return BuildGraphCtx(context.Background(), edges, srcIdx, dstIdx, parallelism)
-}
-
-// BuildGraphCtx is BuildGraphP with a cancellation context threaded
-// through the dictionary-encode and CSR chunk loops: a cancel landing
-// during ad-hoc graph construction aborts the build within a few
-// thousand rows instead of finishing it. A nil ctx never cancels.
-func BuildGraphCtx(ctx context.Context, edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*PreparedGraph, error) {
-	if srcIdx < 0 || srcIdx >= len(edges.Cols) || dstIdx < 0 || dstIdx >= len(edges.Cols) {
-		return nil, fmt.Errorf("graph build: edge column index out of range")
-	}
-	sc, dc := edges.Cols[srcIdx], edges.Cols[dstIdx]
-	if sc.Kind != dc.Kind {
-		return nil, fmt.Errorf("graph build: source kind %v differs from destination kind %v", sc.Kind, dc.Kind)
-	}
-	if sc.Kind == types.KindPath {
-		return nil, fmt.Errorf("graph build: nested tables cannot be vertex keys")
-	}
-	// Rows with NULL endpoints do not define edges; compact them away
-	// so CSR positions align with chunk rows.
-	owned := false
-	if sc.HasNulls() || dc.HasNulls() {
-		keep := make([]int, 0, edges.NumRows())
-		for i := 0; i < edges.NumRows(); i++ {
-			if !sc.IsNull(i) && !dc.IsNull(i) {
-				keep = append(keep, i)
-			}
-		}
-		edges = edges.Gather(keep)
-		sc, dc = edges.Cols[srcIdx], edges.Cols[dstIdx]
-		owned = true
-	}
-	m := edges.NumRows()
-	var dict *graph.Dict
-	srcIDs := make([]graph.VertexID, m)
-	dstIDs := make([]graph.VertexID, m)
-	ids := [][]graph.VertexID{srcIDs, dstIDs}
-	var err error
-	if stringKeyed(sc.Kind) {
-		dict = graph.NewStringDict(m)
-		err = dict.EncodeColumnsStringCtx(ctx, [][]string{sc.Strs, dc.Strs}, ids, parallelism)
-	} else {
-		dict = graph.NewIntDict(m)
-		err = dict.EncodeColumnsIntCtx(ctx, [][]int64{sc.Ints, dc.Ints}, ids, parallelism)
-	}
-	if err != nil {
-		return nil, err
-	}
-	csr, err := graph.BuildCSRParallelCtx(ctx, dict.Len(), srcIDs, dstIDs, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedGraph{
-		Dict: dict, CSR: csr, Edges: edges,
-		SrcIdx: srcIdx, DstIdx: dstIdx, KeyKind: sc.Kind,
-		Parallelism: parallelism,
-		edgesOwned:  owned,
-	}, nil
-}
-
-// NumVertices returns |V|.
-func (pg *PreparedGraph) NumVertices() int { return pg.Dict.Len() }
-
-// NumEdges returns |E| (after NULL compaction).
-func (pg *PreparedGraph) NumEdges() int { return pg.CSR.NumEdges() }
-
 // encodeColumn maps a column of vertex keys onto dense ids; values
 // that are NULL or not vertices map to NoVertex (they fail the
-// reachability predicate, §3.1's "initial filtering").
-func (pg *PreparedGraph) encodeColumn(c *storage.Column) []graph.VertexID {
+// reachability predicate, §3.1's "initial filtering"). The caller
+// holds the read lock.
+func (g *Graph) encodeColumn(c *storage.Column) []graph.VertexID {
 	n := c.Len()
 	out := make([]graph.VertexID, n)
-	if stringKeyed(pg.KeyKind) {
+	if stringKeyed(g.keyKind) {
 		for i := 0; i < n; i++ {
 			if c.IsNull(i) {
 				out[i] = graph.NoVertex
 				continue
 			}
-			out[i] = pg.Dict.LookupString(c.Strs[i])
+			out[i] = g.dict.LookupString(c.Strs[i])
 		}
 		return out
 	}
@@ -145,26 +43,43 @@ func (pg *PreparedGraph) encodeColumn(c *storage.Column) []graph.VertexID {
 			out[i] = graph.NoVertex
 			continue
 		}
-		out[i] = pg.Dict.LookupInt(c.Ints[i])
+		out[i] = g.dict.LookupInt(c.Ints[i])
 	}
 	return out
 }
 
-// MatchCtx executes a GraphMatch over a prepared graph: it filters the
-// input rows by the reachability predicate and appends one cost (and
-// optional path) column per CheapestSpec. X and Y are the evaluated
-// key columns of the input chunk. The cancellation context is checked
-// at the solver's source-group boundaries and before output
-// materialization.
-func (pg *PreparedGraph) MatchCtx(stdctx context.Context, gm *plan.GraphMatch, input *storage.Chunk, xCol, yCol *storage.Column, ctx *expr.Context) (*storage.Chunk, error) {
-	return pg.match(stdctx, gm, input, xCol, yCol, ctx, nil)
+// solver returns a solver over the snapshot plus the delta at the
+// caller's worker budget. ctx is checked at the solver's source-group
+// boundaries and inside each traversal; a traced query carries its
+// trace (and the GraphMatch span) in it, and each BFS level's frontier
+// size is reported there. The caller holds the read lock.
+func (g *Graph) solver(ctx context.Context, parallelism int) *graph.Solver {
+	s := graph.NewSolverWithDelta(g.csr, g.delta)
+	s.Parallelism = parallelism
+	s.Ctx = ctx
+	if ctx != nil {
+		if tr, span, ok := trace.FromContext(ctx); ok {
+			s.OnLevel = func(level int64, size int) {
+				tr.AddLevel(span, level, size)
+			}
+		}
+	}
+	return s
 }
 
-// match is MatchCtx with an optional delta of appended edges (dynamic
-// graph index, §6).
-func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, input *storage.Chunk, xCol, yCol *storage.Column, ctx *expr.Context, delta *graph.Delta) (*storage.Chunk, error) {
-	srcs := pg.encodeColumn(xCol)
-	dsts := pg.encodeColumn(yCol)
+// Match executes a GraphMatch over the graph: it filters the input
+// rows by the reachability predicate and appends one cost (and
+// optional path) column per CheapestSpec. X and Y are the evaluated
+// key columns of the input chunk. The solve and the output phase run
+// over the caller's worker budget, parallelism (<= 0 means one worker
+// per CPU). The read lock is held throughout, so a concurrent Refresh
+// waits for in-flight matches instead of mutating the graph under
+// them.
+func (g *Graph) Match(stdctx context.Context, gm *plan.GraphMatch, input *storage.Chunk, xCol, yCol *storage.Column, ctx *expr.Context, parallelism int) (*storage.Chunk, error) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	srcs := g.encodeColumn(xCol)
+	dsts := g.encodeColumn(yCol)
 
 	// Materialize the weights of each CHEAPEST SUM over the edge chunk
 	// (§2: "its result is computed before executing CHEAPEST SUM").
@@ -172,9 +87,8 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 	for k := range gm.Specs {
 		sp := &gm.Specs[k]
 		gs := graph.Spec{
-			NeedPath:        sp.WantPath,
-			Float:           sp.CostKind == types.KindFloat,
-			ForceBinaryHeap: sp.ForceBinaryHeap,
+			NeedPath: sp.WantPath,
+			Float:    sp.CostKind == types.KindFloat,
 		}
 		if cv, ok := expr.IsConst(sp.Weight, ctx); ok && !cv.Null {
 			gs.Unit = true
@@ -184,7 +98,7 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 				gs.UnitI = cv.I
 			}
 		} else {
-			wc, err := sp.Weight.Eval(ctx, pg.Edges)
+			wc, err := sp.Weight.Eval(ctx, g.edges)
 			if err != nil {
 				return nil, err
 			}
@@ -211,19 +125,7 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 		specs[k] = gs
 	}
 
-	solver := graph.NewSolverWithDelta(pg.CSR, delta)
-	solver.Parallelism = pg.Parallelism
-	solver.Ctx = stdctx
-	if stdctx != nil {
-		// A traced query carries its trace (and the GraphMatch span) in
-		// the context; report each BFS level's frontier size into it.
-		if tr, span, ok := trace.FromContext(stdctx); ok {
-			solver.OnLevel = func(level int64, size int) {
-				tr.AddLevel(span, level, size)
-			}
-		}
-	}
-	sol, err := solver.Solve(srcs, dsts, specs)
+	sol, err := g.solver(stdctx, parallelism).Solve(srcs, dsts, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -235,9 +137,9 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 
 	// Materialize the surviving rows plus the generated columns. The
 	// output phase (row gather, cost columns, nested-table paths) is
-	// partitioned over the solver's worker budget: every worker fills a
-	// disjoint slice range, so the result is bit-identical to the
-	// sequential loop at any worker count.
+	// partitioned over the worker budget: every worker fills a disjoint
+	// slice range, so the result is bit-identical to the sequential
+	// loop at any worker count.
 	keep := make([]int, 0, len(sol.Reached))
 	for i, r := range sol.Reached {
 		if r {
@@ -246,7 +148,7 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 	}
 	workers := 1
 	if len(keep) >= minParallelOutputRows {
-		workers = par.Workers(pg.Parallelism)
+		workers = par.Workers(parallelism)
 	}
 	out := input.GatherP(keep, workers)
 	out.Schema = gm.Sch[:len(input.Schema)]
@@ -272,13 +174,13 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 		}
 		out.Cols = append(out.Cols, costCol)
 		if sp.WantPath {
-			names, kinds := pg.pathSchema()
+			names, kinds := g.pathSchema()
 			ps := make([]*types.Path, len(keep))
 			// Paths vary wildly in length; steal items instead of
 			// splitting ranges so one long-path region cannot
 			// serialize the phase.
 			par.Indexed(workers, len(keep), func(_, i int) {
-				ps[i] = pg.buildPath(names, kinds, sol.Paths[k][keep[i]])
+				ps[i] = g.buildPath(names, kinds, sol.Paths[k][keep[i]])
 			})
 			out.Cols = append(out.Cols, storage.ColumnFromPaths(ps))
 		}
@@ -305,10 +207,10 @@ func SetMinParallelOutputRows(n int) int {
 // pathSchema derives the nested-table column names/kinds from the edge
 // chunk (§2: "the attributes enclosed in the nested table ... are the
 // same as the attributes of the EDGE table expression").
-func (pg *PreparedGraph) pathSchema() ([]string, []types.Kind) {
-	names := make([]string, len(pg.Edges.Schema))
-	kinds := make([]types.Kind, len(pg.Edges.Schema))
-	for i, m := range pg.Edges.Schema {
+func (g *Graph) pathSchema() ([]string, []types.Kind) {
+	names := make([]string, len(g.edges.Schema))
+	kinds := make([]types.Kind, len(g.edges.Schema))
+	for i, m := range g.edges.Schema {
 		names[i] = m.Name
 		kinds[i] = m.Kind
 	}
@@ -316,30 +218,29 @@ func (pg *PreparedGraph) pathSchema() ([]string, []types.Kind) {
 }
 
 // buildPath materializes a nested-table value from edge-row references.
-func (pg *PreparedGraph) buildPath(names []string, kinds []types.Kind, rows []int32) *types.Path {
+func (g *Graph) buildPath(names []string, kinds []types.Kind, rows []int32) *types.Path {
 	p := &types.Path{Cols: names, Kinds: kinds}
 	if len(rows) == 0 {
 		return p
 	}
 	p.Rows = make([][]types.Value, len(rows))
 	for i, r := range rows {
-		p.Rows[i] = pg.Edges.Row(int(r))
+		p.Rows[i] = g.edges.Row(int(r))
 	}
 	return p
 }
 
-// Reachability answers plain reachability for one pair of keys over a
-// prepared graph; it is used by the facade's convenience API and the
-// baseline comparisons.
-func (pg *PreparedGraph) Reachability(srcKey, dstKey types.Value) (bool, error) {
-	sc := storage.NewColumn(pg.KeyKind, 1)
+// Reachability answers plain reachability for one pair of keys over
+// the graph at the caller's worker budget; the runtime-level
+// experiments and tests use it to bypass SQL.
+func (g *Graph) Reachability(ctx context.Context, srcKey, dstKey types.Value, parallelism int) (bool, error) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	sc := storage.NewColumn(g.keyKind, 1)
 	sc.Append(srcKey)
-	dc := storage.NewColumn(pg.KeyKind, 1)
+	dc := storage.NewColumn(g.keyKind, 1)
 	dc.Append(dstKey)
-	srcs := pg.encodeColumn(sc)
-	dsts := pg.encodeColumn(dc)
-	solver := graph.NewSolver(pg.CSR)
-	sol, err := solver.Solve(srcs, dsts, nil)
+	sol, err := g.solver(ctx, parallelism).Solve(g.encodeColumn(sc), g.encodeColumn(dc), nil)
 	if err != nil {
 		return false, err
 	}

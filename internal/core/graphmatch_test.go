@@ -32,8 +32,8 @@ func TestBuildGraphIntKeys(t *testing.T) {
 	if pg.NumVertices() != 3 || pg.NumEdges() != 2 {
 		t.Fatalf("|V|=%d |E|=%d", pg.NumVertices(), pg.NumEdges())
 	}
-	if pg.KeyKind != types.KindInt {
-		t.Fatalf("key kind = %v", pg.KeyKind)
+	if pg.keyKind != types.KindInt {
+		t.Fatalf("key kind = %v", pg.keyKind)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestReachabilityHelper(t *testing.T) {
 		{1, 3, true}, {3, 1, false}, {1, 1, true}, {99, 1, false}, {1, 99, false},
 	}
 	for _, c := range cases {
-		got, err := pg.Reachability(types.NewInt(c.s), types.NewInt(c.d))
+		got, err := pg.Reachability(context.Background(), types.NewInt(c.s), types.NewInt(c.d), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func matchHelper(t *testing.T, edges *storage.Chunk, pairs [][2]int64, specs []p
 		Specs: specs,
 		Sch:   sch,
 	}
-	out, err := pg.MatchCtx(context.Background(), gm, in, in.Cols[0], in.Cols[1], &expr.Context{})
+	out, err := pg.Match(context.Background(), gm, in, in.Cols[0], in.Cols[1], &expr.Context{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestMatchRejectsNonPositiveWeights(t *testing.T) {
 		}},
 		Sch: append(append(storage.Schema{}, in.Schema...), storage.ColMeta{Name: "cost", Kind: types.KindInt}),
 	}
-	if _, err := pg.MatchCtx(context.Background(), gm, in, in.Cols[0], in.Cols[1], &expr.Context{}); err == nil ||
+	if _, err := pg.Match(context.Background(), gm, in, in.Cols[0], in.Cols[1], &expr.Context{}, 0); err == nil ||
 		!strings.Contains(err.Error(), "positive") {
 		t.Fatalf("expected positivity error, got %v", err)
 	}
@@ -227,7 +227,7 @@ func TestMatchNullKeysFilteredOut(t *testing.T) {
 		X: &expr.ColRef{Idx: 0, K: types.KindInt}, Y: &expr.ColRef{Idx: 1, K: types.KindInt},
 		SrcIdx: 0, DstIdx: 1, Sch: in.Schema,
 	}
-	out, err := pg.MatchCtx(context.Background(), gm, in, in.Cols[0], in.Cols[1], &expr.Context{})
+	out, err := pg.Match(context.Background(), gm, in, in.Cols[0], in.Cols[1], &expr.Context{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestStringKeyedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := pg.Reachability(types.NewString("a"), types.NewString("c"))
+	ok, err := pg.Reachability(context.Background(), types.NewString("a"), types.NewString("c"), 0)
 	if err != nil || !ok {
 		t.Fatalf("a->c: %v %v", ok, err)
 	}
-	ok, _ = pg.Reachability(types.NewString("c"), types.NewString("a"))
+	ok, _ = pg.Reachability(context.Background(), types.NewString("c"), types.NewString("a"), 0)
 	if ok {
 		t.Fatal("c must not reach a")
 	}

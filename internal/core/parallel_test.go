@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // TestBuildGraphPEquivalence builds a graph large enough to cross the
-// runtime's parallel thresholds and checks the parallel build is
+// runtime's parallel thresholds and checks the 4-worker build is
 // bit-identical to a sequential one: same dictionary size, same CSR
 // layout.
 func TestBuildGraphPEquivalence(t *testing.T) {
@@ -28,26 +29,26 @@ func TestBuildGraphPEquivalence(t *testing.T) {
 	}
 	c.Cols = []*storage.Column{sc, dc}
 
-	seq, err := BuildGraphP(c, 0, 1, 1)
+	seq, err := BuildGraphCtx(context.Background(), c, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildGraphP(c, 0, 1, 4)
+	par, err := BuildGraphCtx(context.Background(), c, 0, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.NumVertices() != par.NumVertices() {
 		t.Fatalf("|V| %d != %d", par.NumVertices(), seq.NumVertices())
 	}
-	if !reflect.DeepEqual(seq.CSR, par.CSR) {
+	if !reflect.DeepEqual(seq.csr, par.csr) {
 		t.Fatal("parallel CSR differs from sequential")
 	}
 	// The dictionaries must agree on every key -> id mapping, not just
 	// the size.
 	for i := 0; i < m; i++ {
 		k := sc.Ints[i]
-		if seq.Dict.LookupInt(k) != par.Dict.LookupInt(k) {
-			t.Fatalf("key %d: id %d != %d", k, par.Dict.LookupInt(k), seq.Dict.LookupInt(k))
+		if seq.dict.LookupInt(k) != par.dict.LookupInt(k) {
+			t.Fatalf("key %d: id %d != %d", k, par.dict.LookupInt(k), seq.dict.LookupInt(k))
 		}
 	}
 }

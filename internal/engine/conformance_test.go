@@ -31,7 +31,7 @@ func TestDateLiteralSyntaxAndComparisons(t *testing.T) {
 
 func TestNestedCTEsAndShadowing(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`CREATE TABLE base (x BIGINT); INSERT INTO base VALUES (1), (2), (3);`); err != nil {
+	if _, err := e.ExecScriptCtx(context.Background(), `CREATE TABLE base (x BIGINT); INSERT INTO base VALUES (1), (2), (3);`); err != nil {
 		t.Fatal(err)
 	}
 	// A CTE chain where each references the previous.
@@ -64,7 +64,7 @@ func TestDeepDerivedTables(t *testing.T) {
 func TestGraphJoinWithVertexProperties(t *testing.T) {
 	// The full VP1 × VP2 graph join of §2 with properties and grouping.
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE persons (id BIGINT, city VARCHAR);
 		CREATE TABLE knows (a BIGINT, b BIGINT);
 		INSERT INTO persons VALUES (1,'ams'), (2,'ams'), (3,'nyc'), (4,'nyc');
@@ -86,7 +86,7 @@ func TestGraphJoinWithVertexProperties(t *testing.T) {
 
 func TestTwoCheapestSumsOnOnePredicate(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT, w BIGINT);
 		INSERT INTO g VALUES (1,2,5), (2,3,5), (1,3,100);
 	`); err != nil {
@@ -102,7 +102,7 @@ func TestTwoCheapestSumsOnOnePredicate(t *testing.T) {
 
 func TestCheapestSumInArithmeticAndOrderBy(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		CREATE TABLE vp (id BIGINT);
 		INSERT INTO g VALUES (1,2), (2,3), (3,4);
@@ -120,7 +120,7 @@ func TestCheapestSumInArithmeticAndOrderBy(t *testing.T) {
 
 func TestReachesOverDerivedEdgeTable(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT, kind VARCHAR);
 		INSERT INTO g VALUES (1,2,'road'), (2,3,'rail'), (1,3,'road');
 	`); err != nil {
@@ -140,7 +140,7 @@ func TestReachesOverDerivedEdgeTable(t *testing.T) {
 
 func TestUnnestComposesWithJoinsAndAggregates(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT, len BIGINT);
 		INSERT INTO g VALUES (1,2,4), (2,3,6), (1,3,100);
 	`); err != nil {
@@ -158,7 +158,7 @@ func TestUnnestComposesWithJoinsAndAggregates(t *testing.T) {
 
 func TestPathLengthFunction(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		INSERT INTO g VALUES (1,2), (2,3);
 	`); err != nil {
@@ -175,7 +175,7 @@ func TestPathLengthFunction(t *testing.T) {
 
 func TestStringEdgeKeysWithConcat(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE flights (o VARCHAR, dd VARCHAR);
 		INSERT INTO flights VALUES ('AMS','LHR'), ('LHR','JFK');
 	`); err != nil {
@@ -209,7 +209,7 @@ func TestLongChainGraph(t *testing.T) {
 
 func TestDuplicateEdgesAreHarmless(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT, w BIGINT);
 		INSERT INTO g VALUES (1,2,9), (1,2,3), (2,3,1), (1,2,3);
 	`); err != nil {
@@ -222,7 +222,7 @@ func TestDuplicateEdgesAreHarmless(t *testing.T) {
 
 func TestSelfLoopsDoNotBreakShortestPaths(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		INSERT INTO g VALUES (1,1), (1,2), (2,2), (2,3);
 	`); err != nil {
@@ -262,7 +262,7 @@ func TestBigBatchReachabilityJoin(t *testing.T) {
 
 func TestGroupByCheapestSum(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		CREATE TABLE v (id BIGINT);
 		INSERT INTO g VALUES (1,2),(2,3),(3,4),(1,5),(5,4);
@@ -282,7 +282,7 @@ func TestGroupByCheapestSum(t *testing.T) {
 
 func TestInsertSelectWithGraphQuery(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		CREATE TABLE v (id BIGINT);
 		CREATE TABLE dists (id BIGINT, hops BIGINT);
@@ -305,7 +305,7 @@ func TestInsertSelectWithGraphQuery(t *testing.T) {
 func TestInsertSelectHonorsExecOptions(t *testing.T) {
 	e := New()
 	e.SetParallelism(4)
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		CREATE TABLE v (id BIGINT);
 		CREATE TABLE dists (id BIGINT, hops BIGINT);
@@ -347,7 +347,7 @@ func TestInsertSelectHonorsExecOptions(t *testing.T) {
 
 func TestManyParamsAndRepeatedExecution(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		INSERT INTO g VALUES (1,2),(2,3),(3,4),(4,5);
 	`); err != nil {
@@ -364,7 +364,7 @@ func TestManyParamsAndRepeatedExecution(t *testing.T) {
 
 func TestErrorMessagesCarryPositions(t *testing.T) {
 	e := New()
-	_, err := e.Query("SELECT\n  nope")
+	_, err := e.QueryCtx(context.Background(), "SELECT\n  nope")
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("expected a line-2 position, got %v", err)
 	}

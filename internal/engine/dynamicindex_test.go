@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -13,7 +14,7 @@ const pairQ = `SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)`
 func dynEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE e (s BIGINT, d BIGINT);
 		INSERT INTO e VALUES (1,2), (2,3);
 	`); err != nil {
@@ -24,7 +25,7 @@ func dynEngine(t *testing.T) *Engine {
 
 func dist(t *testing.T, e *Engine, s, d int64) int64 {
 	t.Helper()
-	res, err := e.Query(pairQ, types.NewInt(s), types.NewInt(d))
+	res, err := e.QueryCtx(context.Background(), pairQ, types.NewInt(s), types.NewInt(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func dist(t *testing.T, e *Engine, s, d int64) int64 {
 func TestDynamicIndexAbsorbsInsertsThroughSQL(t *testing.T) {
 	e := dynEngine(t)
 	e.Stats = &exec.Stats{}
-	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
+	if err := e.BuildGraphIndex(context.Background(), "e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
 	if got := dist(t, e, 1, 3); got != 2 {
@@ -45,7 +46,7 @@ func TestDynamicIndexAbsorbsInsertsThroughSQL(t *testing.T) {
 	}
 	// Insert a shortcut and a new vertex; the index must absorb both
 	// without a rebuild (delta below the 64-edge floor).
-	if _, err := e.Query(`INSERT INTO e VALUES (1, 3), (3, 9)`); err != nil {
+	if _, err := e.QueryCtx(context.Background(), `INSERT INTO e VALUES (1, 3), (3, 9)`); err != nil {
 		t.Fatal(err)
 	}
 	if got := dist(t, e, 1, 3); got != 1 {
@@ -68,12 +69,12 @@ func TestDynamicIndexAbsorbsInsertsThroughSQL(t *testing.T) {
 func TestDynamicIndexRebuildThroughSQL(t *testing.T) {
 	e := dynEngine(t)
 	e.Stats = &exec.Stats{}
-	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
+	if err := e.BuildGraphIndex(context.Background(), "e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
 	// Append a long chain: > 64 edges forces a snapshot rebuild.
 	for i := 3; i < 90; i++ {
-		if _, err := e.Query(fmt.Sprintf(`INSERT INTO e VALUES (%d, %d)`, i, i+1)); err != nil {
+		if _, err := e.QueryCtx(context.Background(), fmt.Sprintf(`INSERT INTO e VALUES (%d, %d)`, i, i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,10 +89,10 @@ func TestDynamicIndexRebuildThroughSQL(t *testing.T) {
 func TestDeleteInvalidatesDynamicIndex(t *testing.T) {
 	e := dynEngine(t)
 	e.Stats = &exec.Stats{}
-	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
+	if err := e.BuildGraphIndex(context.Background(), "e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(`DELETE FROM e WHERE d = 3`); err != nil {
+	if _, err := e.QueryCtx(context.Background(), `DELETE FROM e WHERE d = 3`); err != nil {
 		t.Fatal(err)
 	}
 	// 1 can no longer reach 3; the query must not use the stale index.
@@ -105,17 +106,17 @@ func TestDeleteInvalidatesDynamicIndex(t *testing.T) {
 
 func TestWeightedQueriesThroughDynamicIndex(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE e (s BIGINT, d BIGINT, w BIGINT);
 		INSERT INTO e VALUES (1,2,10), (2,3,10);
 	`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
+	if err := e.BuildGraphIndex(context.Background(), "e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
 	q := `SELECT CHEAPEST SUM(f: w) WHERE ? REACHES ? OVER e f EDGE (s, d)`
-	res, err := e.Query(q, types.NewInt(1), types.NewInt(3))
+	res, err := e.QueryCtx(context.Background(), q, types.NewInt(1), types.NewInt(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +124,10 @@ func TestWeightedQueriesThroughDynamicIndex(t *testing.T) {
 		t.Fatalf("weighted cost = %d, want 20", res.Cols[0].Ints[0])
 	}
 	// A cheaper delta edge must win, with its weight read correctly.
-	if _, err := e.Query(`INSERT INTO e VALUES (1, 3, 5)`); err != nil {
+	if _, err := e.QueryCtx(context.Background(), `INSERT INTO e VALUES (1, 3, 5)`); err != nil {
 		t.Fatal(err)
 	}
-	res, err = e.Query(q, types.NewInt(1), types.NewInt(3))
+	res, err = e.QueryCtx(context.Background(), q, types.NewInt(1), types.NewInt(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,19 +138,19 @@ func TestWeightedQueriesThroughDynamicIndex(t *testing.T) {
 
 func TestPathThroughDynamicIndexDeltaEdge(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE e (s BIGINT, d BIGINT);
 		INSERT INTO e VALUES (1,2);
 	`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
+	if err := e.BuildGraphIndex(context.Background(), "e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(`INSERT INTO e VALUES (2, 3)`); err != nil {
+	if _, err := e.QueryCtx(context.Background(), `INSERT INTO e VALUES (2, 3)`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query(`
+	res, err := e.QueryCtx(context.Background(), `
 		SELECT r.s, r.d
 		FROM (
 			SELECT CHEAPEST SUM(f: 1) AS (c, p)

@@ -25,12 +25,9 @@ import (
 // Engine executes SQL statements over a catalog.
 type Engine struct {
 	cat *storage.Catalog
-	// graphIndexes caches dynamic graph indexes per edge table; see
-	// BuildGraphIndex. Key: exec.GraphIndexKey.
-	graphIndexes map[string]*core.DynamicGraph
-	// indexTables records, per lower-cased table name, the index keys
-	// built on it, for invalidation on writes.
-	indexTables map[string][]string
+	// graphIndexes caches graph indexes per edge table and key column
+	// pair; see BuildGraphIndex.
+	graphIndexes map[exec.IndexKey]*core.Graph
 	// parallelism is the worker budget for graph construction and
 	// batched shortest-path solving; 0 means one worker per CPU.
 	parallelism int
@@ -53,8 +50,7 @@ type Engine struct {
 func New() *Engine {
 	return &Engine{
 		cat:          storage.NewCatalog(),
-		graphIndexes: map[string]*core.DynamicGraph{},
-		indexTables:  map[string][]string{},
+		graphIndexes: map[exec.IndexKey]*core.Graph{},
 	}
 }
 
@@ -64,8 +60,10 @@ func (e *Engine) Catalog() *storage.Catalog { return e.cat }
 // SetParallelism sets the worker budget for graph construction and
 // batched shortest-path solving: 1 forces sequential execution, n > 1
 // caps the workers, and 0 (the default) uses one worker per CPU.
-// Results are identical at any setting. Graph indexes built earlier
-// keep the budget they were built with.
+// Results are identical at any setting. The budget applies to every
+// solve, graph indexes built earlier included: a query's worker budget
+// (this default, a session SET or a per-query override) is resolved
+// when it runs, never when its graph was built.
 func (e *Engine) SetParallelism(p int) {
 	if p < 0 {
 		p = 0
@@ -426,15 +424,10 @@ func (e *Engine) execExplain(ctx context.Context, ex *ast.ExplainStmt, pl plan.N
 	}, nil
 }
 
-// Query parses, binds, optimizes and executes one statement, returning
-// its result chunk (nil for statements without results).
-func (e *Engine) Query(sql string, params ...types.Value) (*storage.Chunk, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; cancellable callers use QueryCtx
-	return e.QueryCtx(context.Background(), sql, params...)
-}
-
-// QueryCtx is Query with a cancellation context, checked at operator
-// and solver chunk boundaries.
+// QueryCtx parses, binds, optimizes and executes one statement,
+// returning its result chunk (nil for statements without results). The
+// cancellation context is checked at operator and solver chunk
+// boundaries.
 func (e *Engine) QueryCtx(ctx context.Context, sql string, params ...types.Value) (*storage.Chunk, error) {
 	return e.QueryOpts(ctx, nil, sql, params...)
 }
@@ -449,16 +442,12 @@ func (e *Engine) QueryOpts(ctx context.Context, opts *ExecOptions, sql string, p
 	return e.ExecPrepared(ctx, p, opts, params...)
 }
 
-// ExecScript runs a semicolon-separated script, returning the result
-// of the last statement.
-func (e *Engine) ExecScript(sql string, params ...types.Value) (*storage.Chunk, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; cancellable callers use ExecScriptCtx
-	return e.ExecScriptCtx(context.Background(), sql, params...)
-}
-
-// ExecScriptCtx is ExecScript with a cancellation context. A panic in
-// any statement surfaces as a *QueryPanicError (the script stops at
-// that statement, like any other statement error).
+// ExecScriptCtx runs a semicolon-separated script, returning the
+// result of the last statement. The context is checked before every
+// statement and inside each one, so a canceled script stops with the
+// context's error. A panic in any statement surfaces as a
+// *QueryPanicError (the script stops at that statement, like any other
+// statement error).
 func (e *Engine) ExecScriptCtx(ctx context.Context, sql string, params ...types.Value) (last *storage.Chunk, err error) {
 	defer recoverExecPanic(&err)
 	stmts, err := parser.ParseAll(sql)
@@ -509,7 +498,7 @@ func (e *Engine) execStmt(ctx context.Context, stmt ast.Statement, params []type
 		if err := e.cat.DropTable(t.Name); err != nil {
 			return nil, err
 		}
-		e.invalidateIndexes(t.Name)
+		e.DropGraphIndexes(t.Name)
 		e.schemaVersion++
 		return nil, nil
 	case *ast.DeleteStmt:
@@ -603,8 +592,8 @@ func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []typ
 			colIdx = append(colIdx, idx)
 		}
 	}
-	// Appended rows are absorbed by dynamic graph indexes at the next
-	// query (DynamicGraph.RefreshCtx); no invalidation needed here.
+	// Appended rows are absorbed by graph indexes at the next query
+	// (core.Graph.Refresh); no invalidation needed here.
 	appendRow := func(vals []types.Value) error {
 		if len(vals) != len(colIdx) {
 			return fmt.Errorf("INSERT row has %d values, expected %d", len(vals), len(colIdx))
@@ -674,7 +663,7 @@ func (e *Engine) execDelete(t *ast.DeleteStmt, params []types.Value) error {
 	if !ok {
 		return fmt.Errorf("table %q does not exist", t.Table)
 	}
-	defer e.invalidateIndexes(t.Table)
+	defer e.DropGraphIndexes(t.Table)
 	if t.Where == nil {
 		// Truncate.
 		for i, m := range table.Schema {
@@ -707,12 +696,14 @@ func (e *Engine) execDelete(t *ast.DeleteStmt, params []types.Value) error {
 // of an edge table, the graph index the paper proposes as future work
 // (§6). src and dst name the key columns. Subsequent REACHES queries
 // over exactly this table and attribute pair reuse the index instead
-// of rebuilding the graph. The index is *updatable*: rows inserted
-// after the build are absorbed into a delta at the next query, and the
-// snapshot is rebuilt automatically once the delta outgrows it;
-// DELETE and DROP invalidate the index entirely. A panic during the
+// of rebuilding the graph; each solves over it at its own worker
+// budget. The index is *updatable*: rows inserted after the build are
+// absorbed into a delta at the next query, and the snapshot is rebuilt
+// automatically once the delta outgrows it; DELETE and DROP invalidate
+// the index entirely. The build runs at the engine's worker budget and
+// stops with ctx's error when ctx is canceled. A panic during the
 // parallel build surfaces as a *QueryPanicError.
-func (e *Engine) BuildGraphIndex(table, src, dst string) (err error) {
+func (e *Engine) BuildGraphIndex(ctx context.Context, table, src, dst string) (err error) {
 	defer recoverExecPanic(&err)
 	t, ok := e.cat.Table(table)
 	if !ok {
@@ -726,26 +717,22 @@ func (e *Engine) BuildGraphIndex(table, src, dst string) (err error) {
 	if dstIdx < 0 {
 		return fmt.Errorf("table %s has no column %q", table, dst)
 	}
-	dg, err := core.NewDynamicGraphP(t.Chunk(), srcIdx, dstIdx, e.parallelism)
+	g, err := core.BuildGraphCtx(ctx, t.Chunk(), srcIdx, dstIdx, e.parallelism)
 	if err != nil {
 		return err
 	}
-	key := exec.GraphIndexKey(t.Name, srcIdx, dstIdx)
-	e.graphIndexes[key] = dg
-	lower := strings.ToLower(t.Name)
-	e.indexTables[lower] = append(e.indexTables[lower], key)
+	e.graphIndexes[exec.GraphIndexKey(t.Name, srcIdx, dstIdx)] = g
 	return nil
 }
 
-// DropGraphIndexes removes all cached graph indexes of a table.
+// DropGraphIndexes removes all cached graph indexes of a table; DELETE
+// and DROP TABLE call it too. It scans the index entries, which number
+// one per BuildGraphIndex call.
 func (e *Engine) DropGraphIndexes(table string) {
-	e.invalidateIndexes(table)
-}
-
-func (e *Engine) invalidateIndexes(table string) {
 	lower := strings.ToLower(table)
-	for _, key := range e.indexTables[lower] {
-		delete(e.graphIndexes, key)
+	for key := range e.graphIndexes {
+		if key.Table == lower {
+			delete(e.graphIndexes, key)
+		}
 	}
-	delete(e.indexTables, lower)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // run executes SQL, failing the test on error.
 func run(t *testing.T, e *Engine, sql string, params ...types.Value) *storage.Chunk {
 	t.Helper()
-	res, err := e.Query(sql, params...)
+	res, err := e.QueryCtx(context.Background(), sql, params...)
 	if err != nil {
 		t.Fatalf("query %q: %v", sql, err)
 	}
@@ -21,7 +22,7 @@ func run(t *testing.T, e *Engine, sql string, params ...types.Value) *storage.Ch
 // mustFail executes SQL and requires an error containing substr.
 func mustFail(t *testing.T, e *Engine, sql string, substr string) {
 	t.Helper()
-	_, err := e.Query(sql)
+	_, err := e.QueryCtx(context.Background(), sql)
 	if err == nil {
 		t.Fatalf("query %q: expected error containing %q", sql, substr)
 	}
@@ -73,7 +74,7 @@ func testEngine(t *testing.T) *Engine {
 		INSERT INTO dept VALUES (1, 'eng'), (2, 'ops'), (3, 'empty');
 		INSERT INTO emp VALUES (10, 1, 100), (11, 1, 200), (12, 2, 150), (13, NULL, 50);
 	`
-	if _, err := e.ExecScript(script); err != nil {
+	if _, err := e.ExecScriptCtx(context.Background(), script); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -344,7 +345,7 @@ func TestParameters(t *testing.T) {
 	if res.NumRows() != 2 {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
-	_, err := e.Query(`SELECT ? + ?`, types.NewInt(1))
+	_, err := e.QueryCtx(context.Background(), `SELECT ? + ?`, types.NewInt(1))
 	if err == nil || !strings.Contains(err.Error(), "parameter") {
 		t.Fatalf("expected parameter-count error, got %v", err)
 	}
@@ -395,7 +396,7 @@ func TestBinderErrors(t *testing.T) {
 
 func TestGraphStatementsThroughEngine(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE edges (s VARCHAR, d VARCHAR, w BIGINT);
 		INSERT INTO edges VALUES ('a','b',1), ('b','c',2), ('a','c',9);
 	`); err != nil {
@@ -428,7 +429,7 @@ func TestGraphStatementsThroughEngine(t *testing.T) {
 
 func TestNullEdgeEndpointsAreIgnored(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE edges (s BIGINT, d BIGINT);
 		INSERT INTO edges VALUES (1, 2), (NULL, 3), (2, NULL), (2, 3);
 	`); err != nil {
@@ -446,7 +447,7 @@ func TestNullEdgeEndpointsAreIgnored(t *testing.T) {
 
 func TestConstantWeightUsesBFS(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScriptCtx(context.Background(), `
 		CREATE TABLE edges (s BIGINT, d BIGINT);
 		INSERT INTO edges VALUES (1,2),(2,3),(3,4);
 	`); err != nil {

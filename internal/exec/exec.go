@@ -45,9 +45,9 @@ type Context struct {
 	Ctx context.Context
 	// Expr holds the host parameter bindings.
 	Expr *expr.Context
-	// GraphIndexes caches dynamic graph indexes keyed by
-	// "table(srcIdx,dstIdx)" (lower-cased); see DB.BuildGraphIndex.
-	GraphIndexes map[string]*core.DynamicGraph
+	// GraphIndexes holds the cached graph indexes GraphMatch serves
+	// indexed base-table scans from; see DB.BuildGraphIndex.
+	GraphIndexes map[IndexKey]*core.Graph
 	// Parallelism is the worker budget for graph construction and
 	// batched shortest-path solving; <= 0 means one worker per CPU.
 	// When a batch has fewer source groups than workers, the leftover
@@ -109,10 +109,16 @@ type Stats struct {
 	IndexRebuilds  int
 }
 
-// GraphIndexKey builds the cache key for a prepared graph on a base
-// table.
-func GraphIndexKey(table string, srcIdx, dstIdx int) string {
-	return fmt.Sprintf("%s(%d,%d)", strings.ToLower(table), srcIdx, dstIdx)
+// IndexKey identifies a graph index: the lower-cased edge table name
+// and the positions of its source and destination key columns.
+type IndexKey struct {
+	Table    string
+	Src, Dst int
+}
+
+// GraphIndexKey builds the cache key for a graph index on a base table.
+func GraphIndexKey(table string, srcIdx, dstIdx int) IndexKey {
+	return IndexKey{Table: strings.ToLower(table), Src: srcIdx, Dst: dstIdx}
 }
 
 // Canceled returns the context's error if the execution was canceled,

@@ -868,11 +868,12 @@ func (o *breakerOp) Close() error {
 	return err
 }
 
-// graphMatchOp is the paper's graph select σ̂. Open resolves — and
-// refreshes — the cached dynamic graph index under the caller's lock;
-// the solve itself runs at the first Next, lock-free under the index's
-// own read lock. Without an index the edge subplan is drained and a
-// throwaway graph is built.
+// graphMatchOp is the paper's graph select σ̂. Its graph comes from
+// exactly one of two places: a cached graph index, resolved and
+// refreshed in Open under the caller's lock, or a graph built at the
+// first Next from the drained edge subplan. Either way one Match call
+// solves over it at the query's worker budget, lock-free under the
+// graph's own read lock.
 //
 // Relaxation: with a cached index, a solve that runs after the
 // caller's lock was released may observe edges appended by writes that
@@ -886,7 +887,10 @@ type graphMatchOp struct {
 	g     *plan.GraphMatch
 	input Operator
 	edge  Operator
-	dg    *core.DynamicGraph
+	// index is the cached graph Open resolved, nil without one;
+	// absorbed and rebuilt record what its refresh did, for Stats.
+	index             *core.Graph
+	absorbed, rebuilt bool
 }
 
 func newGraphMatch(g *plan.GraphMatch, input, edge Operator) *graphMatchOp {
@@ -906,27 +910,18 @@ func (o *graphMatchOp) Open(ctx *Context) error {
 	if o.tr != nil {
 		o.tr.SetWorkers(o.sp, par.Workers(ctx.Parallelism))
 	}
-	// A cached dynamic index serves scans of indexed base tables; rows
-	// inserted since the snapshot are absorbed into its delta here,
-	// under the caller's catalog lock (the refresh walks the live table
-	// chunk and must not race writers) — the paper's §6 updatable graph
-	// index.
-	if scan, ok := o.g.Edge.(*plan.Scan); ok && ctx.GraphIndexes != nil {
-		if dg, ok := ctx.GraphIndexes[GraphIndexKey(scan.Table.Name, o.g.SrcIdx, o.g.DstIdx)]; ok {
-			before := dg.AppliedRows()
-			rebuilt, err := dg.RefreshCtx(o.solverCtx(), scan.Table.Chunk())
+	// A cached index serves scans of indexed base tables; rows inserted
+	// since its snapshot are absorbed into its delta here, under the
+	// caller's catalog lock (the refresh walks the live table chunk and
+	// must not race writers) — the paper's §6 updatable graph index.
+	if scan, ok := o.g.Edge.(*plan.Scan); ok && len(ctx.GraphIndexes) > 0 {
+		if g, ok := ctx.GraphIndexes[GraphIndexKey(scan.Table.Name, o.g.SrcIdx, o.g.DstIdx)]; ok {
+			var err error
+			o.absorbed, o.rebuilt, err = g.Refresh(o.solverCtx(), scan.Table.Chunk(), ctx.Parallelism)
 			if err != nil {
 				return err
 			}
-			if ctx.Stats != nil {
-				ctx.Stats.IndexHits++
-				if rebuilt {
-					ctx.Stats.IndexRebuilds++
-				} else if dg.AppliedRows() != before {
-					ctx.Stats.IndexRefreshes++
-				}
-			}
-			o.dg = dg
+			o.index = g
 			return nil
 		}
 	}
@@ -959,24 +954,32 @@ func (o *graphMatchOp) compute() (*storage.Chunk, error) {
 		return nil, err
 	}
 	stdctx := o.solverCtx()
-	if o.dg != nil {
-		return o.dg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
+	g := o.index
+	if g == nil {
+		edges, err := drainInput(o.edge)
+		if err != nil {
+			return nil, err
+		}
+		o.edge.Close()
+		if g, err = core.BuildGraphCtx(stdctx, edges, o.g.SrcIdx, o.g.DstIdx, o.ctx.Parallelism); err != nil {
+			return nil, err
+		}
 	}
-	edges, err := drainInput(o.edge)
-	if err != nil {
-		return nil, err
+	if st := o.ctx.Stats; st != nil {
+		if o.index != nil {
+			st.IndexHits++
+			if o.rebuilt {
+				st.IndexRebuilds++
+			} else if o.absorbed {
+				st.IndexRefreshes++
+			}
+		} else {
+			st.GraphBuilds++
+			st.GraphBuildVertices += g.NumVertices()
+			st.GraphBuildEdges += g.NumEdges()
+		}
 	}
-	o.edge.Close()
-	pg, err := core.BuildGraphCtx(stdctx, edges, o.g.SrcIdx, o.g.DstIdx, o.ctx.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	if o.ctx.Stats != nil {
-		o.ctx.Stats.GraphBuilds++
-		o.ctx.Stats.GraphBuildVertices += pg.NumVertices()
-		o.ctx.Stats.GraphBuildEdges += pg.NumEdges()
-	}
-	return pg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
+	return g.Match(stdctx, o.g, in, xc, yc, o.ctx.Expr, o.ctx.Parallelism)
 }
 
 func (o *graphMatchOp) Close() error {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"graphsql/internal/analyze"
@@ -29,10 +30,10 @@ var diffBatchSizes = []int{1, 2, 3, DefaultBatchRows}
 // executor at every diffBatchSizes entry, requiring render-identical
 // results. indexes, when non-nil, gives every run its own fresh set of
 // cached graph indexes to serve GraphMatch through.
-func diffExec(t *testing.T, name string, n plan.Node, indexes func() map[string]*core.DynamicGraph) {
+func diffExec(t *testing.T, name string, n plan.Node, indexes func() map[IndexKey]*core.Graph) {
 	t.Helper()
 	if indexes == nil {
-		indexes = func() map[string]*core.DynamicGraph { return nil }
+		indexes = func() map[IndexKey]*core.Graph { return nil }
 	}
 	ref, err := referenceExecute(n, &Context{GraphIndexes: indexes()})
 	if err != nil {
@@ -194,13 +195,13 @@ func TestPullOperatorDifferential(t *testing.T) {
 	if err := etbl.AppendRow([]types.Value{types.NewInt(4), types.NewInt(8), types.NewInt(1)}); err != nil {
 		t.Fatal(err)
 	}
-	indexed := func() map[string]*core.DynamicGraph {
+	indexed := func() map[IndexKey]*core.Graph {
 		snapshot := etbl.Chunk().Slice(0, etbl.NumRows()-1)
-		dg, err := core.NewDynamicGraphP(snapshot, 0, 1, 0)
+		dg, err := core.BuildGraphCtx(context.Background(), snapshot, 0, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return map[string]*core.DynamicGraph{GraphIndexKey("e", 0, 1): dg}
+		return map[IndexKey]*core.Graph{GraphIndexKey("e", 0, 1): dg}
 	}
 	diffExec(t, "graphmatch-indexed", bindSQL(t, cat, graphCases[1].sql), indexed)
 	// A deep pipeline: filter → project → limit over a sorted CTE,

@@ -231,19 +231,20 @@ func execGraphMatch(g *plan.GraphMatch, ctx *refContext) (*storage.Chunk, error)
 	}
 	// The solver only receives a context.Context, so the trace (and the
 	// GraphMatch span its per-level frontier samples attach to) rides
-	// the context down through core.PreparedGraph.match.
+	// the context down through core.Graph.Match.
 	stdctx := ctx.Ctx
 	if ctx.Trace != nil {
 		stdctx = trace.NewContext(stdctx, ctx.Trace, ctx.TraceSpan)
 		ctx.Trace.SetWorkers(ctx.TraceSpan, par.Workers(ctx.Parallelism))
 	}
-	// A cached dynamic index serves scans of indexed base tables;
-	// rows inserted since the snapshot are absorbed into its delta
-	// (the paper's §6 updatable graph index).
-	if scan, ok := g.Edge.(*plan.Scan); ok && ctx.GraphIndexes != nil {
-		if dg, ok := ctx.GraphIndexes[GraphIndexKey(scan.Table.Name, g.SrcIdx, g.DstIdx)]; ok {
-			before := dg.AppliedRows()
-			rebuilt, err := dg.RefreshCtx(stdctx, scan.Table.Chunk())
+	// A cached index serves scans of indexed base tables; rows
+	// inserted since the snapshot are absorbed into its delta (the
+	// paper's §6 updatable graph index). Otherwise the graph is built
+	// from the edge subplan.
+	var graph *core.Graph
+	if scan, ok := g.Edge.(*plan.Scan); ok {
+		if ix, ok := ctx.GraphIndexes[GraphIndexKey(scan.Table.Name, g.SrcIdx, g.DstIdx)]; ok {
+			absorbed, rebuilt, err := ix.Refresh(stdctx, scan.Table.Chunk(), ctx.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -251,27 +252,28 @@ func execGraphMatch(g *plan.GraphMatch, ctx *refContext) (*storage.Chunk, error)
 				ctx.Stats.IndexHits++
 				if rebuilt {
 					ctx.Stats.IndexRebuilds++
-				} else if dg.AppliedRows() != before {
+				} else if absorbed {
 					ctx.Stats.IndexRefreshes++
 				}
 			}
-			return dg.MatchCtx(stdctx, g, in, xc, yc, ctx.Expr)
+			graph = ix
 		}
 	}
-	edges, err := refExecute(g.Edge, ctx)
-	if err != nil {
-		return nil, err
+	if graph == nil {
+		edges, err := refExecute(g.Edge, ctx)
+		if err != nil {
+			return nil, err
+		}
+		if graph, err = core.BuildGraphCtx(stdctx, edges, g.SrcIdx, g.DstIdx, ctx.Parallelism); err != nil {
+			return nil, err
+		}
+		if ctx.Stats != nil {
+			ctx.Stats.GraphBuilds++
+			ctx.Stats.GraphBuildVertices += graph.NumVertices()
+			ctx.Stats.GraphBuildEdges += graph.NumEdges()
+		}
 	}
-	pg, err := core.BuildGraphCtx(stdctx, edges, g.SrcIdx, g.DstIdx, ctx.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Stats != nil {
-		ctx.Stats.GraphBuilds++
-		ctx.Stats.GraphBuildVertices += pg.NumVertices()
-		ctx.Stats.GraphBuildEdges += pg.NumEdges()
-	}
-	return pg.MatchCtx(stdctx, g, in, xc, yc, ctx.Expr)
+	return graph.Match(stdctx, g, in, xc, yc, ctx.Expr, ctx.Parallelism)
 }
 
 // execUnnest expands a nested-table column into rows (§2). The

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"graphsql/internal/fault"
+	"graphsql/internal/par"
 )
 
 // Spec describes one CHEAPEST SUM evaluation over a graph: the edge
@@ -217,7 +218,7 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 	var canceled atomic.Bool
 	var failOnce sync.Once
 	var failErr error
-	runIndexed(workers, len(groups), func(worker, i int) {
+	par.Indexed(workers, len(groups), func(worker, i int) {
 		if canceled.Load() || (s.Ctx != nil && s.Ctx.Err() != nil) {
 			canceled.Store(true)
 			return
@@ -229,7 +230,7 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 		}
 	})
 	if canceled.Load() {
-		// runIndexed's barrier orders the failOnce write before this
+		// par.Indexed's barrier orders the failOnce write before this
 		// read. A nil failErr means a worker observed s.Ctx canceled
 		// before any group returned an error.
 		if failErr != nil {
@@ -257,7 +258,7 @@ func (s *Solver) solveWorkers(groups int) int {
 	if groups < 2 {
 		return 1
 	}
-	workers := resolveWorkers(s.Parallelism)
+	workers := par.Workers(s.Parallelism)
 	if workers > groups {
 		workers = groups
 	}
@@ -285,7 +286,7 @@ func (s *Solver) intraWorkers(groups, outer int) int {
 	if groups == 0 {
 		return 1
 	}
-	budget := resolveWorkers(s.Parallelism)
+	budget := par.Workers(s.Parallelism)
 	if budget <= groups {
 		return 1
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"graphsql/internal/fault"
+	"graphsql/internal/par"
 )
 
 // VertexID is a dense vertex identifier in H = {0..N-1}.
@@ -50,16 +51,10 @@ func (g *CSR) edgeRange(v VertexID) (int64, int64) {
 	return g.Offsets[v], g.Offsets[v+1]
 }
 
-// BuildCSR constructs the CSR from parallel source/destination arrays
-// of dense vertex ids. n is the vertex count. Entries with src or dst
-// outside [0, n) are rejected.
-func BuildCSR(n int, src, dst []VertexID) (*CSR, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use BuildGraphCtx
-	return buildCSRSeq(context.Background(), n, src, dst)
-}
-
-// buildCSRSeq is the sequential builder with an optional cancellation
-// context, polled every cancelCheckInterval rows in each pass.
+// buildCSRSeq builds the CSR sequentially from parallel
+// source/destination arrays of dense vertex ids; n is the vertex count
+// and entries outside [0, n) are rejected. The optional cancellation
+// context is polled every cancelCheckInterval rows in each pass.
 func buildCSRSeq(ctx context.Context, n int, src, dst []VertexID) (*CSR, error) {
 	if len(src) != len(dst) {
 		return nil, fmt.Errorf("graph: src/dst length mismatch: %d vs %d", len(src), len(dst))
@@ -113,8 +108,8 @@ func buildCSRSeq(ctx context.Context, n int, src, dst []VertexID) (*CSR, error) 
 	return &CSR{N: n, Offsets: offsets, Targets: targets, Perm: perm}, nil
 }
 
-// BuildCSRParallelCtx is BuildCSR with chunked parallel degree
-// counting and scattering. The layout is identical to BuildCSR's: each
+// BuildCSRParallelCtx constructs the CSR with chunked parallel degree
+// counting and scattering. The layout is identical to buildCSRSeq's: each
 // chunk scatters into slots reserved in row order, so CSR positions
 // (and Perm) come out bit-identical regardless of scheduling. Inputs
 // below the size threshold fall back to the sequential builder. The
@@ -123,7 +118,7 @@ func buildCSRSeq(ctx context.Context, n int, src, dst []VertexID) (*CSR, error) 
 // fallback), so a cancel landing during graph construction aborts
 // within a few thousand rows.
 func BuildCSRParallelCtx(ctx context.Context, n int, src, dst []VertexID, parallelism int) (*CSR, error) {
-	workers := resolveWorkers(parallelism)
+	workers := par.Workers(parallelism)
 	// Keep every chunk large enough that the per-chunk count arrays
 	// (workers × n) and goroutine startup stay noise.
 	if maxW := len(src) / (minParallelCSREdges / 4); workers > maxW {
@@ -153,7 +148,7 @@ func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers i
 	for w := range badSrc {
 		badSrc[w], badDst[w] = -1, -1
 	}
-	runRanges(workers, m, func(w, lo, hi int) {
+	par.Ranges(workers, m, func(w, lo, hi int) {
 		if err := fault.Inject(fault.PointGraphBuildChunk); err != nil {
 			ferr[w] = err
 			return
@@ -233,7 +228,7 @@ func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers i
 	// Phase 3: parallel scatter, each chunk into its reserved slots.
 	targets := make([]VertexID, m)
 	perm := make([]int32, m)
-	runRanges(workers, m, func(w, lo, hi int) {
+	par.Ranges(workers, m, func(w, lo, hi int) {
 		// ferr slots are all nil here (a phase-1 fault returned early),
 		// so the scatter phase reuses them.
 		if err := fault.Inject(fault.PointGraphBuildChunk); err != nil {
@@ -260,29 +255,4 @@ func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers i
 		}
 	}
 	return &CSR{N: n, Offsets: offsets, Targets: targets, Perm: perm}, nil
-}
-
-// Reverse returns the CSR of the transposed graph. Perm entries still
-// refer to the original edge rows.
-func (g *CSR) Reverse() *CSR {
-	m := len(g.Targets)
-	src := make([]VertexID, m)
-	dst := make([]VertexID, m)
-	for v := VertexID(0); int(v) < g.N; v++ {
-		lo, hi := g.edgeRange(v)
-		for p := lo; p < hi; p++ {
-			src[p] = g.Targets[p]
-			dst[p] = v
-		}
-	}
-	rev, err := BuildCSR(g.N, src, dst)
-	if err != nil {
-		// Cannot happen: ids come from a valid CSR.
-		panic(err)
-	}
-	// Fix Perm to reference original rows rather than positions.
-	for p := range rev.Perm {
-		rev.Perm[p] = g.Perm[rev.Perm[p]]
-	}
-	return rev
 }

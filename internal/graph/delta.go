@@ -6,7 +6,7 @@ package graph
 // challenging the currently adopted runtime CSR representation": the
 // CSR stays immutable, appended edges live here, and traversals visit
 // both. When the delta grows past a threshold the owner rebuilds the
-// snapshot (see core.DynamicGraph).
+// snapshot (see core.Graph).
 type Delta struct {
 	// N is the total vertex count including vertices that only appear
 	// in delta edges (the CSR knows ids < CSR.N only).

@@ -19,6 +19,7 @@ import (
 	"context"
 
 	"graphsql/internal/fault"
+	"graphsql/internal/par"
 )
 
 // EncodeColumnsIntCtx encodes the concatenation of the given int64 key
@@ -29,13 +30,13 @@ import (
 // each loop. On cancellation the dictionary is left partially
 // populated and must be discarded; the outs contents are unspecified.
 func (d *Dict) EncodeColumnsIntCtx(ctx context.Context, cols [][]int64, outs [][]VertexID, parallelism int) error {
-	return bulkEncode(ctx, d.ints, &d.n, cols, outs, resolveWorkers(parallelism))
+	return bulkEncode(ctx, d.ints, &d.n, cols, outs, par.Workers(parallelism))
 }
 
 // EncodeColumnsStringCtx is EncodeColumnsIntCtx over the string key
 // space.
 func (d *Dict) EncodeColumnsStringCtx(ctx context.Context, cols [][]string, outs [][]VertexID, parallelism int) error {
-	return bulkEncode(ctx, d.strs, &d.n, cols, outs, resolveWorkers(parallelism))
+	return bulkEncode(ctx, d.strs, &d.n, cols, outs, par.Workers(parallelism))
 }
 
 // canceled polls a possibly-nil context.
@@ -107,7 +108,7 @@ func bulkEncodeParallel[K comparable](ctx context.Context, m map[K]VertexID, nex
 	ferr := make([]error, len(chunks))
 	// Phase 1 (parallel): per-chunk dedup of keys the dictionary does
 	// not already know; the shared map is read-only here.
-	runIndexed(workers, len(chunks), func(_, i int) {
+	par.Indexed(workers, len(chunks), func(_, i int) {
 		if err := fault.Inject(fault.PointGraphEncodeChunk); err != nil {
 			ferr[i] = err
 			return
@@ -152,7 +153,7 @@ func bulkEncodeParallel[K comparable](ctx context.Context, m map[K]VertexID, nex
 	}
 	// Phase 3 (parallel): fill output IDs from the now-complete map.
 	// ferr slots are all nil again (a phase-1 fault returned early).
-	runIndexed(workers, len(chunks), func(_, i int) {
+	par.Indexed(workers, len(chunks), func(_, i int) {
 		if err := fault.Inject(fault.PointGraphEncodeChunk); err != nil {
 			ferr[i] = err
 			return

@@ -3,8 +3,6 @@ package graph
 import (
 	"context"
 	"sync/atomic"
-
-	"graphsql/internal/par"
 )
 
 // Parallelism knobs of the shortest-path runtime. A parallelism value
@@ -32,18 +30,6 @@ const (
 	// BFS polls once per level instead (see bfspar.go).
 	cancelCheckInterval = 1 << 12
 )
-
-// resolveWorkers maps a Parallelism option onto a concrete worker
-// count: values <= 0 mean one worker per available CPU.
-func resolveWorkers(parallelism int) int { return par.Workers(parallelism) }
-
-// runIndexed drains n indexed work items over the given number of
-// workers using an atomic work-stealing cursor; see par.Indexed.
-func runIndexed(workers, n int, f func(worker, item int)) { par.Indexed(workers, n, f) }
-
-// runRanges splits [0, n) into one contiguous range per worker and
-// runs them concurrently; see par.Ranges.
-func runRanges(workers, n int, f func(worker, lo, hi int)) { par.Ranges(workers, n, f) }
 
 // cancelPoller coordinates cooperative cancellation across the workers
 // of one parallel phase: the first worker observing a dead context

@@ -266,9 +266,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheEntries > 0 {
 		s.cache = NewResultCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
-	if _, _, err := s.reg.Load(cfg.DefaultGraph, "", nil); err != nil {
-		return nil, err
-	}
+	s.reg.swap(cfg.DefaultGraph, graphsql.Open(graphsql.WithParallelism(cfg.Parallelism)))
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /stats", s.instrument("/stats", s.handleStats))
@@ -1060,7 +1058,9 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: wire.CodeInvalidRequest, Message: err.Error()}})
 		return
 	}
-	gen, tables, err := s.reg.Load(name, req.Script, req.Indexes)
+	// The request's context stops the load between statements when
+	// the client goes away.
+	gen, tables, err := s.reg.Load(r.Context(), name, req.Script, req.Indexes)
 	if err != nil {
 		s.errors.Add(1)
 		writeJSON(w, http.StatusUnprocessableEntity, &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: wire.CodeSQL, Message: err.Error()}})

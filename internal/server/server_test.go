@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -61,7 +62,7 @@ func loadCorpus(t *testing.T, base, graph string) {
 func expectedBodies(t *testing.T) map[string][]byte {
 	t.Helper()
 	db := graphsql.Open()
-	if _, err := db.ExecScript(testutil.SetupScript()); err != nil {
+	if _, err := db.ExecScript(context.Background(), testutil.SetupScript()); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string][]byte)
@@ -524,5 +525,40 @@ func TestServerIndexedLoad(t *testing.T) {
 		if !bytes.Equal(body, want[q]) {
 			t.Fatalf("indexed body differs\nquery: %s\ngot:  %s\nwant: %s", q, body, want[q])
 		}
+	}
+}
+
+// TestRegistryLoadCanceled: a load whose context is canceled — the
+// client of POST /graphs/{name}/load went away — stops with the
+// context's error, and the previous generation keeps serving.
+func TestRegistryLoadCanceled(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	reg := s.Registry()
+	gen, _, err := reg.Load(context.Background(), "g", `CREATE TABLE t (a BIGINT); INSERT INTO t VALUES (1)`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	reload := []struct {
+		name    string
+		script  string
+		indexes []wire.IndexSpec
+	}{
+		{"script", `CREATE TABLE t (a BIGINT); INSERT INTO t VALUES (1), (2)`, nil},
+		{"indexes", "", []wire.IndexSpec{{Table: "t", Src: "a", Dst: "a"}}},
+	}
+	for _, r := range reload {
+		if _, _, err := reg.Load(canceled, "g", r.script, r.indexes); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: canceled load error = %v, want context.Canceled", r.name, err)
+		}
+	}
+	db, cur, ok := reg.Resolve("g")
+	if !ok || cur != gen {
+		t.Fatalf("generation after canceled loads = %d (found %v), want %d", cur, ok, gen)
+	}
+	n, err := db.QueryScalar(`SELECT COUNT(*) FROM t`)
+	if err != nil || n != int64(1) {
+		t.Fatalf("previous generation answers %v, %v; want 1 row", n, err)
 	}
 }

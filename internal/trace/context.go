@@ -3,7 +3,7 @@ package trace
 import "context"
 
 // The solver sits below packages that only receive a context.Context
-// (core.PreparedGraph.MatchCtx takes no trace argument), so the active
+// (core.Graph.Match takes no trace argument), so the active
 // trace and the span the solver should report into ride the context.
 
 type ctxKey struct{}
