@@ -42,6 +42,16 @@ import (
 	"graphsql/internal/server"
 )
 
+// Connection limits for hostile or stalled clients: the request
+// headers must arrive within readHeaderTimeout, and a keep-alive
+// connection idle for idleTimeout is closed. Neither bounds a request
+// body or a response, so a long stream is never cut; request bodies are
+// bounded in size by the server package instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8765", "listen address")
 	graphName := flag.String("graph", "default", "name of the default graph")
@@ -110,7 +120,12 @@ func main() {
 		}()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	done := make(chan error, 1)
 	//gsqlvet:allow parbudget HTTP accept loop; per-query concurrency is budgeted at admission
 	go func() { done <- hs.ListenAndServe() }()

@@ -58,10 +58,10 @@
 //	s.Query(ctx, `SET parallelism = 2`)          // this session only
 //	res, err := s.Query(ctx, `SELECT ...`, args) // cached plan on repeat
 //
-// Every query path funnels into one core, DB.QueryRows (ctx first, a
-// QueryOptions struct, returning a *Rows cursor); Query, QueryCtx,
-// QueryScalar and the Session variants are thin wrappers that drain
-// it. A SELECT opens its operator tree under the read lock (base
+// Every query path funnels into one core behind DB.QueryRows and
+// Session.QueryRows (ctx first, a QueryOptions struct, returning a
+// *Rows cursor); Query, QueryCtx, QueryScalar and the other Session
+// methods are thin wrappers that drain it. A SELECT opens its operator tree under the read lock (base
 // tables snapshot, cached graph indexes refresh) and then executes
 // batch-by-batch as the cursor is drained — lock-free, so the first
 // rows of a large result are available while the query is still
@@ -341,15 +341,7 @@ func (r *Rows) NextBatch(maxRows int) (rows [][]any, err error) {
 	if err != nil || win == nil {
 		return nil, err
 	}
-	out := make([][]any, win.NumRows())
-	for i := range out {
-		row := make([]any, len(win.Cols))
-		for j, col := range win.Cols {
-			row[j] = fromValue(col.Get(i))
-		}
-		out[i] = row
-	}
-	return out, nil
+	return chunkRows(win), nil
 }
 
 // Close releases the result's operator tree. It is idempotent and safe
@@ -392,35 +384,39 @@ func (db *DB) QueryRows(ctx context.Context, qo QueryOptions, sql string, args .
 	if err != nil {
 		return nil, err
 	}
-	override := -1
-	if qo.Workers > 0 {
-		override = qo.Workers
-	}
-	opts := &engine.ExecOptions{
-		Parallelism: override,
-		Trace:       qo.Trace,
-		BatchRows:   qo.BatchRows,
-	}
+	return db.queryRows(ctx, nil, qo.execOptions(-1), sql, params)
+}
+
+// queryRows is the lock, prepare and dispatch core of DB.QueryRows and
+// Session.QueryRows (s non-nil: the session's plan cache resolves the
+// statement, and s.mu is held). SELECTs — and SETs a session
+// intercepts, which never touch the engine — open under the read lock
+// and release it before returning; every other statement executes to
+// completion under the write lock, re-using the parsed statement (it
+// carries no bound plan, so the engine binds it against the current
+// catalog).
+func (db *DB) queryRows(ctx context.Context, s *Session, opts *engine.ExecOptions, sql string, params []types.Value) (*Rows, error) {
 	db.mu.RLock()
-	p, err := db.eng.Prepare(sql, params...)
+	var p *engine.Prepared
+	var err error
+	if s != nil {
+		spPlan := opts.Trace.Begin(trace.NoSpan, "plan")
+		p, params, err = s.resolvePlanTraced(opts.Trace, spPlan, sql, params)
+		opts.Trace.End(spPlan)
+	} else {
+		p, err = db.eng.Prepare(sql, params...)
+	}
 	if err != nil {
 		db.mu.RUnlock()
 		return nil, err
 	}
-	if p.IsSelect() {
-		cur, err := db.eng.ExecPreparedCursor(ctx, p, opts, params...)
+	if p.IsSelect() || p.IsSet() && opts.OnSet != nil {
+		defer db.mu.RUnlock()
+	} else {
 		db.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		return newRows(cur), nil
+		db.mu.Lock()
+		defer db.mu.Unlock()
 	}
-	db.mu.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	// Writes re-execute the parsed statement under the write lock;
-	// non-SELECT statements carry no bound plan, so binding happens
-	// here against the current catalog.
 	cur, err := db.eng.ExecPreparedCursor(ctx, p, opts, params...)
 	if err != nil {
 		return nil, err
@@ -464,7 +460,11 @@ func (db *DB) ExecScript(ctx context.Context, sql string) (*Result, error) {
 	if chunk == nil {
 		return &Result{}, nil
 	}
-	return chunkToResult(chunk), nil
+	res := &Result{Columns: make([]string, len(chunk.Schema)), Rows: chunkRows(chunk)}
+	for j, m := range chunk.Schema {
+		res.Columns[j] = m.Name
+	}
+	return res, nil
 }
 
 // Trace is a per-query span recorder: attach one to
@@ -574,21 +574,18 @@ func toValue(a any) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("unsupported argument type %T", a)
 }
 
-func chunkToResult(c *storage.Chunk) *Result {
-	res := &Result{Columns: make([]string, len(c.Schema))}
-	for j, m := range c.Schema {
-		res.Columns[j] = m.Name
-	}
-	n := c.NumRows()
-	res.Rows = make([][]any, n)
-	for i := 0; i < n; i++ {
+// chunkRows converts a result chunk into client rows; cells use the
+// representations documented on Result.Rows.
+func chunkRows(c *storage.Chunk) [][]any {
+	out := make([][]any, c.NumRows())
+	for i := range out {
 		row := make([]any, len(c.Cols))
 		for j, col := range c.Cols {
 			row[j] = fromValue(col.Get(i))
 		}
-		res.Rows[i] = row
+		out[i] = row
 	}
-	return res
+	return out
 }
 
 func fromValue(v types.Value) any {

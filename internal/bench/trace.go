@@ -87,7 +87,12 @@ func Trace(o Options) error {
 		run := func(tr *itrace.Trace) error {
 			opts := engine.DefaultExecOptions()
 			opts.Trace = tr
-			_, err := e.ExecPrepared(ctx, prep, &opts, params...)
+			cur, err := e.ExecPreparedCursor(ctx, prep, &opts, params...)
+			if err != nil {
+				return err
+			}
+			defer cur.Close()
+			_, err = cur.Next(0)
 			return err
 		}
 		// Warm-up both modes: first-use initialization must not count.

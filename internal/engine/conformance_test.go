@@ -317,10 +317,16 @@ func TestInsertSelectHonorsExecOptions(t *testing.T) {
 	e.Stats = &exec.Stats{}
 	tr := trace.New()
 	opts := &ExecOptions{Parallelism: 1, Trace: tr}
-	if _, err := e.QueryOpts(context.Background(), opts, `INSERT INTO dists SELECT id, CHEAPEST SUM(1)
-		FROM v WHERE 1 REACHES id OVER g EDGE (s, d)`); err != nil {
+	p, err := e.Prepare(`INSERT INTO dists SELECT id, CHEAPEST SUM(1)
+		FROM v WHERE 1 REACHES id OVER g EDGE (s, d)`)
+	if err != nil {
 		t.Fatal(err)
 	}
+	cur, err := e.ExecPreparedCursor(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur.Close()
 	if e.Stats.GraphBuilds != 1 {
 		t.Fatalf("Stats.GraphBuilds = %d, want 1", e.Stats.GraphBuilds)
 	}

@@ -124,7 +124,7 @@ func (e *Engine) effectiveParallelism(opts *ExecOptions) int {
 // Prepared is a parsed — and, for SELECT, bound and rewritten —
 // statement, reusable across executions with the same parameter kinds.
 // It is the unit of the session plan cache: preparing pays the parse,
-// bind and rewrite cost once; ExecPrepared then only interprets the
+// bind and rewrite cost once; ExecPreparedCursor then only interprets the
 // plan. A Prepared must not be executed concurrently with itself; the
 // session layer serializes its own statements.
 type Prepared struct {
@@ -198,7 +198,7 @@ func (e *Engine) Describe(sql string) (numParams int, isSelect bool, err error) 
 
 // Prepare parses and, for SELECT statements, binds and rewrites sql.
 // params supply the argument kinds referenced during binding; their
-// values are not captured (they are re-supplied at ExecPrepared time).
+// values are not captured (they are re-supplied at ExecPreparedCursor time).
 // A panic during binding or rewrite surfaces as a *QueryPanicError.
 func (e *Engine) Prepare(sql string, params ...types.Value) (prep *Prepared, err error) {
 	defer recoverExecPanic(&err)
@@ -243,86 +243,74 @@ type request struct {
 	prep   *Prepared
 	params []types.Value
 	opts   *ExecOptions
-	// wantCursor asks for an incremental cursor instead of a
-	// materialized chunk; see ExecPreparedCursor.
-	wantCursor bool
 }
 
-// run executes one request. Exactly one of chunk/cur is populated:
-// with wantCursor a cursor is returned (operator-backed for a SELECT,
-// a windowed snapshot otherwise), without it the materialized result
-// chunk — for a SELECT, the operator cursor drained in one window.
-func (e *Engine) run(ctx context.Context, req request) (chunk *storage.Chunk, cur *exec.Cursor, err error) {
+// run executes one request and returns a cursor over its result:
+// operator-backed for a SELECT (execution proceeds as it drains), a
+// window over the materialized result otherwise.
+func (e *Engine) run(ctx context.Context, req request) (cur *exec.Cursor, err error) {
 	defer recoverExecPanic(&err)
 	p := req.prep
 	if p.NumParams > len(req.params) {
-		return nil, nil, fmt.Errorf("statement uses %d parameters but %d argument(s) were supplied", p.NumParams, len(req.params))
+		return nil, fmt.Errorf("statement uses %d parameters but %d argument(s) were supplied", p.NumParams, len(req.params))
 	}
+	var chunk *storage.Chunk
 	switch t := p.stmt.(type) {
 	case *ast.SelectStmt:
 		pl := p.plan
 		if pl == nil {
 			bound, err := analyze.BindSelect(e.cat, t, req.params)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			pl = plan.Rewrite(bound)
 		}
-		cur, err := e.runSelect(ctx, pl, req)
-		if err != nil || req.wantCursor {
-			return nil, cur, err
-		}
-		// Deferred ahead of the drain so a panicking operator still
-		// releases its tree before recoverExecPanic converts the panic.
-		defer cur.Close()
-		chunk, err := cur.Next(0)
-		if err != nil {
-			return nil, nil, err
-		}
-		if chunk == nil {
-			chunk = storage.NewChunk(cur.Schema())
-		}
-		return chunk, nil, nil
+		return e.runSelect(ctx, pl, req)
 	case *ast.ExplainStmt:
 		chunk, err = e.execExplain(ctx, t, p.plan, req.params, req.opts)
 	default:
 		chunk, err = e.execStmt(ctx, p.stmt, req.params, req.opts)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if req.wantCursor {
-		if chunk != nil {
-			chunk = chunk.Snapshot()
-		}
-		return nil, exec.NewCursor(ctx, chunk), nil
-	}
-	return chunk, nil, nil
+	return exec.NewCursor(ctx, chunk), nil
 }
 
-// ExecPrepared executes a prepared statement. The caller is responsible
-// for staleness (see Prepared.Stale); executing a stale plan against a
-// reshaped catalog is undefined. A panic during execution — on this
-// goroutine or inside a parallel pool worker — surfaces as a
-// *QueryPanicError, never as a process-killing unwind.
-func (e *Engine) ExecPrepared(ctx context.Context, p *Prepared, opts *ExecOptions, params ...types.Value) (*storage.Chunk, error) {
-	chunk, _, err := e.run(ctx, request{prep: p, params: params, opts: opts})
-	return chunk, err
+// drain materializes a cursor's whole result and closes it. A panic
+// raised by operator code during the drain surfaces as a
+// *QueryPanicError. An empty SELECT yields an empty chunk with the
+// cursor's schema; a statement without results yields nil.
+func drain(cur *exec.Cursor) (chunk *storage.Chunk, err error) {
+	defer recoverExecPanic(&err)
+	// Deferred ahead of the drain so a panicking operator still
+	// releases its tree before recoverExecPanic converts the panic.
+	defer cur.Close()
+	chunk, err = cur.Next(0)
+	if err != nil {
+		return nil, err
+	}
+	if chunk == nil && cur.Schema() != nil {
+		chunk = storage.NewChunk(cur.Schema())
+	}
+	return chunk, nil
 }
 
 // ExecPreparedCursor executes a prepared statement and returns an
-// incremental cursor over its result. For a SELECT the cursor is
+// incremental cursor over its result. The caller is responsible for
+// staleness (see Prepared.Stale); executing a stale plan against a
+// reshaped catalog is undefined. For a SELECT the cursor is
 // operator-backed: Open runs here, under whatever lock discipline the
 // caller holds — base-table scans snapshot and cached graph indexes
 // refresh now — and execution then proceeds batch-by-batch as the
 // cursor is drained, without the lock. Any other statement executes
-// fully here and the cursor windows a snapshot of the result. The caller
-// must Close the cursor; exhaustion and errors close it implicitly. A
-// panic while opening surfaces as a *QueryPanicError; the facade
-// applies the same conversion to panics raised during the drain.
+// fully here and the cursor windows its result. The caller must Close
+// the cursor; exhaustion and errors close it implicitly. A panic while
+// opening — on this goroutine or inside a parallel pool worker —
+// surfaces as a *QueryPanicError; the facade applies the same
+// conversion to panics raised during the drain.
 func (e *Engine) ExecPreparedCursor(ctx context.Context, p *Prepared, opts *ExecOptions, params ...types.Value) (*exec.Cursor, error) {
-	_, cur, err := e.run(ctx, request{prep: p, params: params, opts: opts, wantCursor: true})
-	return cur, err
+	return e.run(ctx, request{prep: p, params: params, opts: opts})
 }
 
 // newExecContext builds the exec context for one execution.
@@ -429,17 +417,15 @@ func (e *Engine) execExplain(ctx context.Context, ex *ast.ExplainStmt, pl plan.N
 // cancellation context is checked at operator and solver chunk
 // boundaries.
 func (e *Engine) QueryCtx(ctx context.Context, sql string, params ...types.Value) (*storage.Chunk, error) {
-	return e.QueryOpts(ctx, nil, sql, params...)
-}
-
-// QueryOpts is QueryCtx with per-execution overrides (nil opts inherit
-// every engine default).
-func (e *Engine) QueryOpts(ctx context.Context, opts *ExecOptions, sql string, params ...types.Value) (*storage.Chunk, error) {
 	p, err := e.Prepare(sql, params...)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecPrepared(ctx, p, opts, params...)
+	cur, err := e.run(ctx, request{prep: p, params: params})
+	if err != nil {
+		return nil, err
+	}
+	return drain(cur)
 }
 
 // ExecScriptCtx runs a semicolon-separated script, returning the
@@ -460,8 +446,11 @@ func (e *Engine) ExecScriptCtx(ctx context.Context, sql string, params ...types.
 				return nil, err
 			}
 		}
-		last, _, err = e.run(ctx, request{prep: &Prepared{stmt: s}, params: params})
+		cur, err := e.run(ctx, request{prep: &Prepared{stmt: s}, params: params})
 		if err != nil {
+			return nil, err
+		}
+		if last, err = drain(cur); err != nil {
 			return nil, err
 		}
 	}

@@ -10,9 +10,10 @@ import (
 // QueryPanicError is the typed error the engine boundary converts a
 // panic into: any panic escaping statement execution — from a parallel
 // pool worker (surfaced as *par.WorkerPanic) or from the calling
-// goroutine itself — is recovered at Prepare / ExecPrepared /
-// ExecScriptCtx / BuildGraphIndex and returned as one of these instead
-// of unwinding into the caller. That makes a panicking query fail
+// goroutine itself — is recovered at Prepare, ExecPreparedCursor (the
+// open), QueryCtx and ExecScriptCtx (open and drain), BuildGraphIndex,
+// and the facade's Rows (a drain, via CapturePanic), and returned as
+// one of these instead of unwinding into the caller. That makes a panicking query fail
 // exactly like a query with a SQL error: the error travels the normal
 // return path, locks held by callers are released by their own defers,
 // and the process keeps serving.

@@ -61,7 +61,8 @@ func TestQueryPanicBecomesError(t *testing.T) {
 }
 
 // TestExecPreparedPanicBecomesError covers the prepared-statement entry
-// point, which the server's hot path uses.
+// point the server's hot path uses: ExecPreparedCursor opens, and the
+// drain QueryCtx applies runs the operators under the same guard.
 func TestExecPreparedPanicBecomesError(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	e := setupTiny(t)
@@ -69,16 +70,24 @@ func TestExecPreparedPanicBecomesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	execPrepared := func() error {
+		cur, err := e.ExecPreparedCursor(context.Background(), p, nil)
+		if err != nil {
+			return err
+		}
+		_, err = drain(cur)
+		return err
+	}
 	if err := fault.Set(fault.Rule{Point: fault.PointExecOperator, Kind: fault.KindPanic}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.ExecPrepared(context.Background(), p, nil)
+	err = execPrepared()
 	var qp *QueryPanicError
 	if !errors.As(err, &qp) {
-		t.Fatalf("ExecPrepared error = %v (%T), want *QueryPanicError", err, err)
+		t.Fatalf("ExecPreparedCursor error = %v (%T), want *QueryPanicError", err, err)
 	}
 	fault.Reset()
-	if _, err := e.ExecPrepared(context.Background(), p, nil); err != nil {
+	if err := execPrepared(); err != nil {
 		t.Fatalf("prepared statement dead after contained panic: %v", err)
 	}
 }

@@ -226,8 +226,8 @@ func (rc *ResultCache) Get(key string) (*graphsql.Result, bool) {
 // budgets hold. Results bigger than a quarter of the byte budget are
 // dropped instead of cached.
 func (rc *ResultCache) Put(key, graph string, res *graphsql.Result) {
-	// A cache-insert fault skips the insert: the caller has already sent
-	// the result, so losing only the cache admission is the correct
+	// A cache-insert fault skips the insert: the response does not
+	// depend on it, so losing only the cache admission is the correct
 	// degraded behavior (and what the chaos harness asserts).
 	if fault.Inject(fault.PointCacheInsert) != nil {
 		return

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,12 +120,14 @@ func TestServerPanicContainment(t *testing.T) {
 // TestServerMiddlewarePanicRecovery exercises the last-resort recover in
 // the instrumentation middleware: the result-cache insert panics after
 // execution succeeded, past the engine boundary, on the handler
-// goroutine — the middleware must still answer a structured 500 and the
-// process must keep serving.
+// goroutine — the middleware must still answer a structured 500, the
+// query log must record the panic, and the process must keep serving.
 func TestServerMiddlewarePanicRecovery(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	t.Cleanup(fault.Reset)
-	s, hs := newTestServer(t, Config{MaxInFlight: 4, TotalWorkers: 4})
+	logs := &syncBuffer{}
+	logger := slog.New(slog.NewTextHandler(logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	s, hs := newTestServer(t, Config{MaxInFlight: 4, TotalWorkers: 4, Logger: logger, SlowQueryMillis: -1})
 	loadCorpus(t, hs.URL, "default")
 
 	if err := fault.Set(fault.Rule{Point: fault.PointCacheInsert, Kind: fault.KindPanic}); err != nil {
@@ -141,6 +145,9 @@ func TestServerMiddlewarePanicRecovery(t *testing.T) {
 		t.Fatal("middleware recover did not record the panic")
 	}
 	checkAdmissionClean(t, s)
+	if log := logs.String(); !strings.Contains(log, "outcome=panic") {
+		t.Fatalf("query log %q, want outcome=panic", log)
+	}
 
 	fault.Reset()
 	if status, body := postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: q}); status != http.StatusOK {
@@ -188,6 +195,66 @@ func TestServerStreamFaultTrailer(t *testing.T) {
 		t.Fatal("streamed panic was not recorded")
 	}
 	checkAdmissionClean(t, s)
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger writing from handler
+// goroutines while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServerStreamedCacheHitFaultLogged: a streamed cache hit cut by an
+// encoder fault logs the failure and the rows actually sent, exactly as
+// a live stream would — not outcome=ok with the cached row count.
+func TestServerStreamedCacheHitFaultLogged(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	logs := &syncBuffer{}
+	logger := slog.New(slog.NewTextHandler(logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	s, hs := newTestServer(t, Config{MaxInFlight: 4, TotalWorkers: 4, Logger: logger, SlowQueryMillis: -1})
+	loadCorpus(t, hs.URL, "default")
+	q := testutil.Queries()[1]
+	if status, body := postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: q}); status != http.StatusOK {
+		t.Fatalf("buffered: %d: %s", status, body)
+	}
+	if err := fault.Set(fault.Rule{Point: fault.PointStreamEncode, Kind: fault.KindError}); err != nil {
+		t.Fatal(err)
+	}
+	hits := s.Cache().Snapshot().Hits
+	_, stream, _ := postRaw(t, hs.URL+"/query", &wire.QueryRequest{SQL: q, Stream: true, BatchRows: 3})
+	fault.Reset()
+	if got := s.Cache().Snapshot().Hits; got != hits+1 {
+		t.Fatalf("cache hits %d, want %d", got, hits+1)
+	}
+	folded, _, err := wire.FoldStream(bytes.NewReader(stream))
+	if err != nil || folded.Error == nil || folded.Error.Code != wire.CodeInternal {
+		t.Fatalf("stream %s (fold error %v), want an internal error trailer", stream, err)
+	}
+	var line string
+	waitUntil(t, "the streamed hit's query log line", func() bool {
+		for _, l := range strings.Split(logs.String(), "\n") {
+			if strings.Contains(l, "cache_hit=true") {
+				line = l
+				return true
+			}
+		}
+		return false
+	})
+	if !strings.Contains(line, "outcome=internal") || !strings.Contains(line, " rows=0 ") {
+		t.Fatalf("query log %q, want outcome=internal rows=0", line)
+	}
 }
 
 // TestServerQueueWaitDeadline pins the only execution slot and requires

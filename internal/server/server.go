@@ -46,6 +46,16 @@
 // admission slot. Reloads and write statements can never leak a stale
 // entry to a later reader: both bump a component of the key.
 //
+// Responses: every statement's rows reach the client through one
+// writer. A miss hands it the live cursor of the session's QueryRows
+// (the query executes as the writer drains it); a hit hands it the
+// cached result, sliced into the same batches. The writer emits one
+// buffered QueryResponse body or NDJSON frames of batch_rows rows, so
+// hits and misses share the error classification, the counters, the
+// cache fill and the query log's outcome and row count. Request bodies
+// are bounded: 16 MiB for query, prepare and execute, 256 MiB for a
+// load; a larger body answers 413 request_too_large.
+//
 // Cancellation: a client disconnect (or timeout) cancels the request
 // context, which aborts the query at the nearest operator boundary,
 // source-group boundary, in-traversal poll, or graph-construction chunk
@@ -413,6 +423,8 @@ func errorStatus(code string) int {
 		return http.StatusGatewayTimeout
 	case wire.CodeInvalidRequest:
 		return http.StatusBadRequest
+	case wire.CodeTooLarge:
+		return http.StatusRequestEntityTooLarge
 	case wire.CodeInternal, wire.CodePanic:
 		return http.StatusInternalServerError
 	default:
@@ -420,36 +432,48 @@ func errorStatus(code string) int {
 	}
 }
 
-func (s *Server) failQuery(w http.ResponseWriter, code string, err error) {
+// countFailure counts one failed request; a canceled or timed-out one
+// also counts as abandoned.
+func (s *Server) countFailure(code string) {
 	s.errors.Add(1)
 	if code == wire.CodeCanceled || code == wire.CodeTimeout {
 		s.canceled.Add(1)
 	}
+}
+
+func (s *Server) failQuery(w http.ResponseWriter, code string, err error) {
+	s.countFailure(code)
 	writeJSON(w, errorStatus(code), wire.FromError(code, err))
 }
 
-// failExec classifies an execution error: contained panic beats
-// timeout beats cancellation beats plain SQL error. (A panic racing a
-// timeout reports the panic — the more actionable signal.) An injected
-// fault reports internal, not sql_error: the statement was fine, the
-// server hiccuped.
-// It returns the wire code it chose, which the query log records as
-// the outcome.
-func (s *Server) failExec(w http.ResponseWriter, ctx context.Context, timedOut func() bool, err error, qid uint64, fp string) string {
+// errorCode maps a request's failure to its wire code: a contained
+// panic (recorded with its stack) beats an injected fault (internal:
+// the statement was fine, the server hiccuped), which beats the query
+// deadline (timeout), which beats the client going away (canceled).
+// Anything else is the caller's fallback — sql_error for an execution
+// error, canceled for a failed response write. (A panic racing a
+// timeout reports the panic, the more actionable signal.)
+func (s *Server) errorCode(ctx context.Context, err error, fallback string, qid uint64, fp string) string {
 	var qp *graphsql.QueryPanicError
 	var inj *fault.InjectedError
-	code := wire.CodeSQL
 	switch {
 	case errors.As(err, &qp):
 		s.recordPanic(ctx, qp.Value, qp.Stack, qid, fp)
-		code = wire.CodePanic
+		return wire.CodePanic
 	case errors.As(err, &inj):
-		code = wire.CodeInternal
-	case timedOut():
-		code = wire.CodeTimeout
+		return wire.CodeInternal
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		return wire.CodeTimeout
 	case ctx.Err() != nil:
-		code = wire.CodeCanceled
+		return wire.CodeCanceled
 	}
+	return fallback
+}
+
+// failExec answers a failed execution with the code errorCode picks and
+// returns that code, which the query log records as the outcome.
+func (s *Server) failExec(w http.ResponseWriter, ctx context.Context, err error, qid uint64, fp string) string {
+	code := s.errorCode(ctx, err, wire.CodeSQL, qid, fp)
 	s.failQuery(w, code, err)
 	return code
 }
@@ -460,6 +484,30 @@ func (s *Server) failExec(w http.ResponseWriter, ctx context.Context, timedOut f
 func (s *Server) retryAfterHeader(w http.ResponseWriter) {
 	secs := int(math.Ceil(s.adm.RetryAfter().Seconds()))
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
+}
+
+// Request body limits: a statement request (query, prepare, execute)
+// carries one statement and its arguments; a load carries a dataset
+// script.
+const (
+	maxQueryBody = 16 << 20
+	maxLoadBody  = 256 << 20
+)
+
+// readBody reads a request body of at most limit bytes. On failure it
+// also returns the wire code to answer with: request_too_large past
+// the limit (the rest of the body is never read), invalid_request for
+// any other read error.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, string, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return nil, wire.CodeTooLarge, err
+	case err != nil:
+		return nil, wire.CodeInvalidRequest, err
+	}
+	return body, "", nil
 }
 
 // querySpec is one statement execution, shared by POST /query and
@@ -477,9 +525,9 @@ type querySpec struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, code, err := readBody(w, r, maxQueryBody)
 	if err != nil {
-		s.failQuery(w, wire.CodeInvalidRequest, err)
+		s.failQuery(w, code, err)
 		return
 	}
 	req, err := wire.DecodeRequest(body)
@@ -499,8 +547,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // runQuery executes one statement: result-cache lookup, admission,
-// execution through the session facade, and the buffered or streamed
-// response encoding.
+// execution through the session facade, and the response: one
+// resultWriter whether the rows come from the cache or a live cursor,
+// buffered or streamed.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	graphName := q.graph
 	if graphName == "" {
@@ -544,11 +593,39 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 		fp = norm.SQL
 	}
 	start := time.Now()
-	outcome := "ok"
+	// Every path below sets the outcome; only a panic unwinding to the
+	// middleware (which answers the 500) leaves this one.
+	outcome := wire.CodePanic
 	rowsOut := -1
 	defer func() {
 		s.finishQuery(r.Context(), qid, graphName, fp, tr, start, outcome, rowsOut)
 	}()
+
+	// The request context is canceled when the client disconnects; the
+	// timeout (request-level, else server default) stacks on top.
+	ctx := r.Context()
+	timeout := s.cfg.QueryTimeout
+	if q.timeoutMillis > 0 {
+		timeout = time.Duration(q.timeoutMillis) * time.Millisecond
+	}
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+
+	// One writer answers hits and misses alike; respond also records
+	// what the query log reports.
+	rw := &resultWriter{s: s, w: w, ctx: ctx, stream: q.stream, batch: batch, tr: tr, qid: qid, fp: fp}
+	if q.trace {
+		rw.tree = tr
+	}
+	respond := func(columns []string, src batchSource) {
+		outcome, rowsOut = rw.write(columns, src)
+		if outcome == "" {
+			outcome = "ok"
+		}
+	}
 
 	// Result-cache lookup. The generation and data version are read
 	// BEFORE execution: a write racing this request can at worst make
@@ -564,7 +641,6 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	// statement — or the argument count does not match its placeholders —
 	// the raw text keys the entry, which is always correct, just less
 	// shared.
-	var key string
 	if s.cache != nil && cacheableSQL(q.sql) {
 		keySQL, keyArgs := q.sql, q.args
 		if norm.Changed() {
@@ -572,58 +648,23 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 				keySQL, keyArgs = norm.SQL, merged
 			}
 		}
-		key = cacheKey(graphName, gen, db.DataVersion(), keySQL, keyArgs)
+		key := cacheKey(graphName, gen, db.DataVersion(), keySQL, keyArgs)
 		if key != "" {
 			spCache := tr.Begin(trace.NoSpan, "cache")
 			res, hit := s.cache.Get(key)
 			tr.End(spCache)
 			tr.SetResultCacheHit(hit)
 			if hit {
-				s.queries.Add(1)
-				rowsOut = len(res.Rows)
-				if q.stream {
-					var ttr *trace.Trace
-					if q.trace {
-						ttr = tr
-					}
-					s.streamResult(w, res, batch, ttr)
-					return
-				}
 				// The wire encoding is deterministic, so re-encoding the
 				// stored result reproduces the first response byte for
 				// byte — the cache holds one representation, not two.
-				// (A trace, when requested, is per-request by nature and
-				// rides outside that equivalence.)
-				resp := wire.FromResult(res)
-				if q.trace {
-					resp.Trace = tr.Tree()
-				}
-				data, err := resp.Encode()
-				if err != nil {
-					outcome = wire.CodeInternal
-					s.failQuery(w, wire.CodeInternal, err)
-					return
-				}
-				w.Header().Set("Content-Type", "application/json")
-				w.Write(data)
+				s.queries.Add(1)
+				replay := cachedRows(res.Rows)
+				respond(res.Columns, &replay)
 				return
 			}
+			rw.key, rw.graph = key, graphName // a complete result fills the entry
 		}
-	}
-
-	// The request context is canceled when the client disconnects; the
-	// timeout (request-level, else server default) stacks on top.
-	ctx := r.Context()
-	timeout := s.cfg.QueryTimeout
-	if q.timeoutMillis > 0 {
-		timeout = time.Duration(q.timeoutMillis) * time.Millisecond
-	}
-	var timedOut func() bool = func() bool { return false }
-	if timeout > 0 {
-		tctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		timedOut = func() bool { return tctx.Err() == context.DeadlineExceeded }
-		ctx = tctx
 	}
 
 	// Resolve the facade session (one-shot sessions are throwaway) and
@@ -664,32 +705,26 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 		case errors.Is(err, ErrQueueFull):
 			outcome = wire.CodeQueueFull
 			s.retryAfterHeader(w)
-			s.failQuery(w, wire.CodeQueueFull, err)
-		case timedOut():
-			outcome = wire.CodeTimeout
-			s.failQuery(w, wire.CodeTimeout, err)
 		case ctx.Err() == nil:
 			// Only the queue-wait deadline expired: the client is still
 			// connected and nothing has executed, so a retry (after the
 			// hint) is always safe.
 			outcome = wire.CodeQueueTimeout
 			s.retryAfterHeader(w)
-			s.failQuery(w, wire.CodeQueueTimeout,
-				fmt.Errorf("queued longer than the queue-wait deadline (%s)", s.cfg.QueueWait))
+			err = fmt.Errorf("queued longer than the queue-wait deadline (%s)", s.cfg.QueueWait)
 		default:
-			outcome = wire.CodeCanceled
-			s.failQuery(w, wire.CodeCanceled, err)
+			outcome = s.errorCode(ctx, err, wire.CodeCanceled, qid, fp)
 		}
+		s.failQuery(w, outcome, err)
 		return
 	}
 	inq.workers.Store(int32(grant.Workers))
 	// The grant goes back exactly once no matter how this request ends —
 	// including a panic unwinding to the middleware recover, which this
-	// deferred release runs before. The streaming path holds it through
-	// the drain: under the pull executor the engine does its work while
-	// the stream is being written, so the slot stays occupied until the
-	// trailer (or the failure) — a streaming query is in flight for
-	// exactly as long as it is executing.
+	// deferred release runs before. It is held through the response:
+	// under the pull executor the engine does its work while the result
+	// is being written, so a query is in flight for exactly as long as
+	// it is executing.
 	defer grant.Release()
 
 	s.queries.Add(1)
@@ -700,73 +735,23 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 		// the first few rows are computed instead of after the first
 		// 1024.
 		opts.BatchRows = batch
-		rows, qerr := fsess.QueryRows(ctx, opts, q.sql, q.args...)
-		// A write issued with stream:true executed to completion inside
-		// QueryRows (writes still materialize under the write lock), so
-		// its cache purge happens before anything streams out.
-		if s.cache != nil && invalidatingSQL(q.sql) {
-			s.cache.InvalidateGraph(graphName)
-		}
-		if qerr != nil {
-			outcome = s.failExec(w, ctx, timedOut, qerr, qid, fp)
-			return
-		}
-		// The cursor owns a live operator tree; release it even when the
-		// stream is torn before exhaustion (client gone mid-stream).
-		defer rows.Close()
-		// A streaming miss feeds the cache too: the batches are
-		// accumulated as they go out (bounded by the admission budget, so
-		// a result too big to cache stops buffering instead of doubling
-		// its memory) and admitted only when the stream completes with a
-		// trailer — a torn stream caches nothing.
-		var collect *streamCollector
-		if key != "" {
-			collect = &streamCollector{budget: s.cache.AdmissionBudget()}
-		}
-		var ttr *trace.Trace
-		if q.trace {
-			ttr = tr
-		}
-		failCode, sent := s.streamRows(w, ctx, timedOut, rows, batch, collect, ttr, qid, fp)
-		rowsOut = sent
-		if failCode != "" {
-			outcome = failCode
-		} else if collect != nil && !collect.overflow {
-			s.cache.Put(key, graphName, &graphsql.Result{Columns: rows.Columns, Rows: collect.rows})
-		}
-		return
 	}
-	// Writes purge the graph's cached results once they finish — the
-	// data-version key already guarantees no stale hit, the purge just
-	// releases the memory eagerly.
+	rows, err := fsess.QueryRows(ctx, opts, q.sql, q.args...)
+	// A write executed to completion inside QueryRows (writes materialize
+	// under the write lock), so its purge happens before any response
+	// goes out. The data-version key already guarantees no stale hit;
+	// the purge just releases the memory eagerly.
 	if s.cache != nil && invalidatingSQL(q.sql) {
-		defer s.cache.InvalidateGraph(graphName)
+		s.cache.InvalidateGraph(graphName)
 	}
-	res, err := fsess.QueryOpts(ctx, opts, q.sql, q.args...)
 	if err != nil {
-		outcome = s.failExec(w, ctx, timedOut, err, qid, fp)
+		outcome = s.failExec(w, ctx, err, qid, fp)
 		return
 	}
-	rowsOut = len(res.Rows)
-	resp := wire.FromResult(res)
-	if q.trace {
-		// Snapshotted before the encode span opens: the tree cannot
-		// describe the encoding it is itself part of.
-		resp.Trace = tr.Tree()
-	}
-	spEnc := tr.Begin(trace.NoSpan, "encode")
-	data, err := resp.Encode()
-	tr.End(spEnc)
-	if err != nil {
-		outcome = wire.CodeInternal
-		s.failQuery(w, wire.CodeInternal, err)
-		return
-	}
-	if key != "" {
-		s.cache.Put(key, graphName, res)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	// The cursor owns a live operator tree; release it even when the
+	// response is torn before exhaustion (client gone mid-stream).
+	defer rows.Close()
+	respond(rows.Columns, rows)
 }
 
 // finishQuery closes out one query's observability: stage histograms
@@ -807,6 +792,29 @@ func (s *Server) finishQuery(ctx context.Context, qid uint64, graph, fp string, 
 	s.logger.LogAttrs(ctx, lvl, msg, attrs...)
 }
 
+// batchSource is what resultWriter drains: a live *graphsql.Rows or a
+// cached result.
+type batchSource interface {
+	NextBatch(maxRows int) ([][]any, error)
+}
+
+// cachedRows replays a cached result's rows in batches of the requested
+// size (maxRows <= 0: all of them at once).
+type cachedRows [][]any
+
+func (c *cachedRows) NextBatch(maxRows int) ([][]any, error) {
+	n := len(*c)
+	if n == 0 {
+		return nil, nil
+	}
+	if maxRows > 0 && maxRows < n {
+		n = maxRows
+	}
+	b := (*c)[:n:n]
+	*c = (*c)[n:]
+	return b, nil
+}
+
 // streamCollector accumulates the batches of a streaming cache miss so
 // the full result can be admitted once the stream completes. The byte
 // estimate uses the same accounting as resultFootprint; crossing the
@@ -839,164 +847,155 @@ func (c *streamCollector) add(b [][]any) {
 	c.rows = append(c.rows, b...)
 }
 
-// streamRows writes a chunked response from a live row-batch cursor.
-// Under the pull executor the cursor *is* the execution: each NextBatch
-// runs the operator tree far enough to fill one batch, so the first
-// frame reaches the client while the query is still running and the
-// full response never exists server-side (except in collect, when the
-// cache wants the result and it fits the admission budget). Any
-// failure between batches — cancellation, a contained panic, an
-// injected fault, a runtime execution error — ends the stream with an
-// error trailer; so does a server-side encoding failure or a panic
-// (recovered locally — the header is already on the wire, so the
-// middleware could not answer 500; a stream is only ever torn by its
-// error trailer, never silently). It reports the wire code the stream failed with ("" for a
-// clean trailer — only then may the collected result be cached; a
-// recovered panic reports CodePanic like every other failure) and the
-// rows delivered. ttr, when non-nil, is the query's trace, whose tree
-// the success trailer carries ("trace": true requests).
-func (s *Server) streamRows(w http.ResponseWriter, ctx context.Context, timedOut func() bool, rows *graphsql.Rows, batch int, collect *streamCollector, ttr *trace.Trace, qid uint64, fp string) (failCode string, sent int) {
-	w.Header().Set("Content-Type", wire.StreamContentType)
-	sw := wire.NewStreamWriter(w)
-	// abandon counts a stream the client will never finish reading —
-	// whether the disconnect surfaced as a context cancellation between
-	// batches or as a write error on the dead connection — so streamed
-	// disconnects move the same abandoned/error counters buffered ones
-	// do.
-	abandon := func(code string) {
-		s.errors.Add(1)
-		s.canceled.Add(1)
-		failCode = code
-	}
-	defer func() {
-		if rv := recover(); rv != nil {
-			s.recordPanic(ctx, rv, debug.Stack(), qid, fp)
-			s.errors.Add(1)
-			failCode = wire.CodePanic
-			sent = sw.RowsSent()
-			sw.Fail(wire.CodePanic, fmt.Errorf("query panicked: %v", rv))
+// resultWriter writes one query's result — the only response path for
+// rows, whether they come from a live cursor or the result cache — as
+// either one buffered QueryResponse body or a chunked NDJSON stream.
+type resultWriter struct {
+	s      *Server
+	w      http.ResponseWriter
+	ctx    context.Context
+	stream bool
+	batch  int          // rows per stream frame
+	tr     *trace.Trace // the query's trace: the encode span lands here
+	tree   *trace.Trace // the trace returned to the client; nil unless requested
+	// key and graph name the cache entry a complete result fills; key
+	// is empty when the result is not to be cached (a hit, a write).
+	key, graph string
+	qid        uint64
+	fp         string
+}
+
+// write drains src into the response. Under the pull executor a live
+// cursor *is* the execution: each batch runs the operator tree far
+// enough to fill it, so a stream's first frame reaches the client while
+// the query is still running. Every failure is classified by errorCode
+// and counted once. Before a stream's header it answers a JSON error
+// with the code's status; after it, it ends the stream with an error
+// trailer — a stream is only ever torn by its trailer, never silently
+// (a write error on a dead connection is the one trailer nobody
+// reads). For the same reason a panic while streaming is recovered
+// here: the header is already out, so the middleware could not answer
+// 500. A buffered response's panic is left to the middleware.
+//
+// Once src is exhausted the result is complete and fills the cache
+// (rw.key), before the terminal write — body or trailer — whose failure
+// could no longer make it wrong. A buffered response holds the whole
+// result anyway; a stream retains its batches only while they fit the
+// cache's admission budget, so a result too big to cache stops
+// buffering instead of doubling its memory. It returns the wire code
+// the response failed with ("" on success) and the rows delivered.
+func (rw *resultWriter) write(columns []string, src batchSource) (code string, sent int) {
+	var sw *wire.StreamWriter
+	fail := func(err error, fallback string) {
+		code = rw.s.errorCode(rw.ctx, err, fallback, rw.qid, rw.fp)
+		rw.s.countFailure(code)
+		if sw == nil {
+			writeJSON(rw.w, errorStatus(code), wire.FromError(code, err))
+			return
 		}
-	}()
-	if err := sw.Header(rows.Columns); err != nil {
-		abandon(wire.CodeCanceled) // client gone before the first frame
-		return failCode, 0
+		sent = sw.RowsSent()
+		sw.Fail(code, err)
 	}
+	window := 0 // a buffered response drains in one window
+	var collect *streamCollector
+	if rw.stream {
+		window = rw.batch
+		if rw.key != "" {
+			collect = &streamCollector{budget: rw.s.cache.AdmissionBudget()}
+		}
+		rw.w.Header().Set("Content-Type", wire.StreamContentType)
+		sw = wire.NewStreamWriter(rw.w)
+		defer func() {
+			if rv := recover(); rv != nil {
+				fail(&graphsql.QueryPanicError{Value: rv, Stack: debug.Stack()}, wire.CodePanic)
+			}
+		}()
+		if err := sw.Header(columns); err != nil {
+			fail(err, wire.CodeCanceled) // client gone before the first frame
+			return code, sent
+		}
+	}
+	var rows [][]any
 	for {
-		b, err := rows.NextBatch(batch)
+		b, err := src.NextBatch(window)
 		if err != nil {
-			// Under the pull executor the query is still executing while
-			// it streams, so any execution failure — a contained panic,
-			// an injected fault, a runtime error — can surface between
-			// batches, not just cancellation. Classify like failExec; the
-			// header is already on the wire, so the error travels as a
-			// structured trailer.
-			var qp *graphsql.QueryPanicError
-			var inj *fault.InjectedError
-			code := wire.CodeSQL
-			switch {
-			case errors.As(err, &qp):
-				s.recordPanic(ctx, qp.Value, qp.Stack, qid, fp)
-				code = wire.CodePanic
-			case errors.As(err, &inj):
-				code = wire.CodeInternal
-			case timedOut():
-				code = wire.CodeTimeout
-			case ctx.Err() != nil:
-				code = wire.CodeCanceled
-			}
-			if code == wire.CodeTimeout || code == wire.CodeCanceled {
-				abandon(code)
-			} else {
-				s.errors.Add(1)
-				failCode = code
-			}
-			sw.Fail(code, err)
-			return failCode, sw.RowsSent()
+			fail(err, wire.CodeSQL)
+			return code, sent
 		}
 		if b == nil {
 			break
 		}
+		if sw == nil {
+			if rows == nil {
+				rows = b
+			} else {
+				rows = append(rows, b...)
+			}
+			continue
+		}
 		if collect != nil {
 			collect.add(b)
 		}
+		// An encoder failure (an injected stream fault) classifies as
+		// internal; any other write error means the client is gone.
 		if err := sw.Batch(b); err != nil {
-			// A server-side encoder failure (e.g. an injected stream
-			// fault) is not a disconnect: the connection still works, so
-			// the client gets a structured error trailer. Only a write
-			// error on a dead connection stays a silent abandon.
-			var inj *fault.InjectedError
-			if errors.As(err, &inj) {
-				s.errors.Add(1)
-				failCode = wire.CodeInternal
-				sw.Fail(wire.CodeInternal, err)
-				return failCode, sw.RowsSent()
-			}
-			abandon(wire.CodeCanceled) // client gone mid-stream; nothing left to tell it
-			return failCode, sw.RowsSent()
+			fail(err, wire.CodeCanceled)
+			return code, sent
 		}
 	}
-	sw.Trailer(ttr.Tree())
-	return "", sw.RowsSent()
-}
 
-// streamResult streams an already-materialized (cached) result in the
-// same chunked encoding a live cursor produces. A disconnect counts
-// exactly like one on the live-cursor path, so abandoned-stream
-// metrics don't depend on whether the cache was warm.
-func (s *Server) streamResult(w http.ResponseWriter, res *graphsql.Result, batch int, ttr *trace.Trace) {
-	w.Header().Set("Content-Type", wire.StreamContentType)
-	sw := wire.NewStreamWriter(w)
-	abandon := func() {
-		s.errors.Add(1)
-		s.canceled.Add(1)
-	}
-	if err := sw.Header(res.Columns); err != nil {
-		abandon()
-		return
-	}
-	for lo := 0; lo < len(res.Rows); lo += batch {
-		hi := lo + batch
-		if hi > len(res.Rows) {
-			hi = len(res.Rows)
+	var res *graphsql.Result
+	var body []byte
+	if sw == nil {
+		res = &graphsql.Result{Columns: columns, Rows: rows}
+		resp := wire.FromResult(res)
+		// Snapshotted before the encode span opens: the tree cannot
+		// describe the encoding it is itself part of.
+		resp.Trace = rw.tree.Tree()
+		spEnc := rw.tr.Begin(trace.NoSpan, "encode")
+		data, err := resp.Encode()
+		rw.tr.End(spEnc)
+		if err != nil {
+			fail(err, wire.CodeInternal)
+			return code, sent
 		}
-		if err := sw.Batch(res.Rows[lo:hi]); err != nil {
-			// Same classification as the live-cursor path: encoder
-			// faults end with a structured trailer, dead connections
-			// abandon silently.
-			var inj *fault.InjectedError
-			if errors.As(err, &inj) {
-				s.errors.Add(1)
-				sw.Fail(wire.CodeInternal, err)
-				return
-			}
-			abandon()
-			return
-		}
+		body = data
+	} else if collect != nil && !collect.overflow {
+		res = &graphsql.Result{Columns: columns, Rows: collect.rows}
 	}
-	sw.Trailer(ttr.Tree())
+	if rw.key != "" && res != nil {
+		rw.s.cache.Put(rw.key, rw.graph, res)
+	}
+	if sw != nil {
+		sw.Trailer(rw.tree.Tree())
+		return "", sw.RowsSent()
+	}
+	rw.w.Header().Set("Content-Type", "application/json")
+	rw.w.Write(body)
+	return "", len(rows)
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	fail := func(status int, code string, err error) {
-		s.errors.Add(1)
-		writeJSON(w, status, &wire.PrepareResponse{Error: &wire.Error{Code: code, Message: err.Error()}})
+	fail := func(code string, err error) {
+		s.countFailure(code)
+		writeJSON(w, errorStatus(code), &wire.PrepareResponse{Error: &wire.Error{Code: code, Message: err.Error()}})
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, code, err := readBody(w, r, maxQueryBody)
 	if err != nil {
-		fail(http.StatusBadRequest, wire.CodeInvalidRequest, err)
+		fail(code, err)
 		return
 	}
 	req, err := wire.DecodePrepareRequest(body)
 	if err != nil {
-		fail(http.StatusBadRequest, wire.CodeInvalidRequest, err)
+		fail(wire.CodeInvalidRequest, err)
 		return
 	}
 	if req.SQL == "" {
-		fail(http.StatusBadRequest, wire.CodeInvalidRequest, errors.New("missing sql"))
+		fail(wire.CodeInvalidRequest, errors.New("missing sql"))
 		return
 	}
 	if req.Session == "" {
-		fail(http.StatusBadRequest, wire.CodeInvalidRequest, errors.New("prepare requires a session"))
+		fail(wire.CodeInvalidRequest, errors.New("prepare requires a session"))
 		return
 	}
 	graphName := req.Graph
@@ -1005,13 +1004,13 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	db, _, ok := s.reg.Resolve(graphName)
 	if !ok {
-		fail(http.StatusNotFound, wire.CodeUnknownGraph, fmt.Errorf("graph %q is not loaded", graphName))
+		fail(wire.CodeUnknownGraph, fmt.Errorf("graph %q is not loaded", graphName))
 		return
 	}
 	ss := s.session(req.Session)
 	info, err := ss.bind(graphName, db).Prepare(req.SQL, req.Args...)
 	if err != nil {
-		fail(http.StatusUnprocessableEntity, wire.CodeSQL, err)
+		fail(s.errorCode(r.Context(), err, wire.CodeSQL, 0, ""), err)
 		return
 	}
 	id := ss.registerStmt(graphName, req.SQL)
@@ -1019,9 +1018,9 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, code, err := readBody(w, r, maxQueryBody)
 	if err != nil {
-		s.failQuery(w, wire.CodeInvalidRequest, err)
+		s.failQuery(w, code, err)
 		return
 	}
 	req, err := wire.DecodeExecuteRequest(body)
@@ -1048,22 +1047,25 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
+	fail := func(code string, err error) {
+		s.countFailure(code)
+		writeJSON(w, errorStatus(code), &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: code, Message: err.Error()}})
+	}
+	body, code, err := readBody(w, r, maxLoadBody)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: wire.CodeInvalidRequest, Message: err.Error()}})
+		fail(code, err)
 		return
 	}
 	var req wire.LoadRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: wire.CodeInvalidRequest, Message: err.Error()}})
+		fail(wire.CodeInvalidRequest, err)
 		return
 	}
 	// The request's context stops the load between statements when
 	// the client goes away.
 	gen, tables, err := s.reg.Load(r.Context(), name, req.Script, req.Indexes)
 	if err != nil {
-		s.errors.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: wire.CodeSQL, Message: err.Error()}})
+		fail(s.errorCode(r.Context(), err, wire.CodeSQL, 0, ""), err)
 		return
 	}
 	// The new generation can never hit the old entries (the key

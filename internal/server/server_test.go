@@ -562,3 +562,60 @@ func TestRegistryLoadCanceled(t *testing.T) {
 		t.Fatalf("previous generation answers %v, %v; want 1 row", n, err)
 	}
 }
+
+// TestServerLoadCanceled: POST /graphs/{name}/load whose client is
+// already gone answers 499 canceled and counts as abandoned, like a
+// canceled query — not as a SQL error.
+func TestServerLoadCanceled(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(&wire.LoadRequest{Script: `CREATE TABLE t (a BIGINT); INSERT INTO t VALUES (1)`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/graphs/g/load", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != 499 {
+		t.Fatalf("status %d, want 499: %s", rec.Code, rec.Body)
+	}
+	var lr wire.LoadResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &lr); err != nil || lr.Error == nil || lr.Error.Code != wire.CodeCanceled {
+		t.Fatalf("load response %s, want error code %q", rec.Body, wire.CodeCanceled)
+	}
+	if got := s.canceled.Load(); got != 1 {
+		t.Fatalf("abandoned = %d, want 1", got)
+	}
+}
+
+// TestServerOversizedBody: a /query body one byte over the 16 MiB limit
+// answers 413 request_too_large instead of being cut short and failing
+// as malformed JSON.
+func TestServerOversizedBody(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	const size = maxQueryBody + 1
+	body := make([]byte, 0, size)
+	body = append(body, `{"sql":"SELECT 1","pad":"`...)
+	body = append(body, bytes.Repeat([]byte("x"), size-len(body)-2)...)
+	body = append(body, `"}`...)
+	resp, err := http.Post(hs.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, got)
+	}
+	var qr wire.QueryResponse
+	if err := json.Unmarshal(got, &qr); err != nil || qr.Error == nil || qr.Error.Code != wire.CodeTooLarge {
+		t.Fatalf("response %s, want error code %q", got, wire.CodeTooLarge)
+	}
+}

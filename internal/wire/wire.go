@@ -56,6 +56,9 @@ const (
 	CodeUnknownGraph = "unknown_graph"
 	// CodeInternal marks server-side failures (encoding, invariants).
 	CodeInternal = "internal"
+	// CodeTooLarge marks a request body over the endpoint's size limit
+	// (HTTP 413); the body was not read past the limit.
+	CodeTooLarge = "request_too_large"
 )
 
 // Error is the structured error payload.

@@ -98,45 +98,19 @@ func (s *Session) QueryRows(ctx context.Context, qo QueryOptions, sql string, ar
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	opts := qo.execOptions(s.parallelism)
+	opts.OnSet = s.applySet
+	return s.db.queryRows(ctx, s, opts, sql, params)
+}
 
-	override := s.parallelism
+// execOptions resolves the engine options of one statement; inherit is
+// the worker budget that applies when qo.Workers does not override it
+// (-1 inherits the DB's).
+func (qo QueryOptions) execOptions(inherit int) *engine.ExecOptions {
 	if qo.Workers > 0 {
-		override = qo.Workers
+		inherit = qo.Workers
 	}
-	opts := &engine.ExecOptions{
-		Parallelism: override,
-		OnSet:       s.applySet,
-		Trace:       qo.Trace,
-		BatchRows:   qo.BatchRows,
-	}
-
-	db := s.db
-	db.mu.RLock()
-	spPlan := qo.Trace.Begin(trace.NoSpan, "plan")
-	p, execParams, err := s.resolvePlanTraced(qo.Trace, spPlan, sql, params)
-	qo.Trace.End(spPlan)
-	if err != nil {
-		db.mu.RUnlock()
-		return nil, err
-	}
-	if p.IsSelect() || p.IsSet() {
-		cur, err := db.eng.ExecPreparedCursor(ctx, p, opts, execParams...)
-		db.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		return newRows(cur), nil
-	}
-	db.mu.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	// Writes carry no bound plan, so the engine binds them here against
-	// the current catalog — no second parse.
-	cur, err := db.eng.ExecPreparedCursor(ctx, p, opts, execParams...)
-	if err != nil {
-		return nil, err
-	}
-	return newRows(cur), nil
+	return &engine.ExecOptions{Parallelism: inherit, Trace: qo.Trace, BatchRows: qo.BatchRows}
 }
 
 // StmtInfo describes a prepared statement; see Session.Prepare.
@@ -190,10 +164,11 @@ func (s *Session) Prepare(sql string, args ...any) (StmtInfo, error) {
 	return StmtInfo{NumParams: n, IsSelect: p.IsSelect()}, nil
 }
 
-// resolvePlanLocked returns the cached plan of the statement together
+// resolvePlanTraced returns the cached plan of the statement together
 // with the parameter values to execute it with, preparing and caching
-// the plan if absent or stale. Both s.mu and the DB read lock must be
-// held.
+// the plan if absent or stale, and records fingerprint and prepare
+// spans (and the plan-cache outcome) into tr; a nil tr records
+// nothing. Both s.mu and the DB read lock must be held.
 //
 // SELECT statements are fingerprinted first (literals in filter
 // positions rewrite to placeholders, their values merging with the
@@ -202,13 +177,6 @@ func (s *Session) Prepare(sql string, args ...any) (StmtInfo, error) {
 // cannot be normalized — or the caller's argument count does not match
 // its placeholders — the raw text is used and every error reads
 // exactly as it would have without normalization.
-func (s *Session) resolvePlanLocked(sql string, params []types.Value) (*engine.Prepared, []types.Value, error) {
-	return s.resolvePlanTraced(nil, trace.NoSpan, sql, params)
-}
-
-// resolvePlanTraced is resolvePlanLocked recording fingerprint and
-// prepare spans (and the plan-cache outcome) into tr; a nil tr records
-// nothing.
 func (s *Session) resolvePlanTraced(tr *trace.Trace, parent trace.SpanID, sql string, params []types.Value) (*engine.Prepared, []types.Value, error) {
 	db := s.db
 	execSQL, execParams := sql, params
